@@ -1,6 +1,7 @@
 #ifndef WCOP_ANON_DISTANCE_CACHE_H_
 #define WCOP_ANON_DISTANCE_CACHE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -107,6 +108,17 @@ class ShardedPairDistanceCache {
   /// True when the filter-and-refine cascade is in effect (EDR distance,
   /// positive scale, DistanceConfig::cascade set).
   bool cascade_active() const { return cascade_; }
+
+  /// True when the separation certificate proves the pair's distance is
+  /// exactly edr_scale (no point pair can match; at least one side is
+  /// non-empty). Pure: no cache access, no counters, no budget charge — the
+  /// caller that acts on it owns the accounting. Requires cascade_active().
+  bool Separated(size_t i, size_t j) const {
+    const EdrBoundsProfile& pa = profiles_[i];
+    const EdrBoundsProfile& pb = profiles_[j];
+    return std::max(pa.length, pb.length) > 0 &&
+           EdrSeparated(pa, pb, config_.tolerance);
+  }
 
   /// Number of full (DP) distance computations stored so far.
   uint64_t computed() const {

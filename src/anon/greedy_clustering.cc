@@ -48,6 +48,81 @@ class TopKThreshold {
   std::vector<double> heap_;
 };
 
+/// Fenwick tree over the active flags: Select(r) is the r-th (0-based)
+/// active index in increasing index order — the element an index-sorted
+/// active list would hold at position r — in O(log n), so drawing a random
+/// pivot by rank needs no list compaction.
+class ActiveRanks {
+ public:
+  /// Marks indices 0..n-1 active, in O(n).
+  void Reset(size_t n) {
+    tree_.resize(n + 1);
+    for (size_t i = 1; i <= n; ++i) {
+      tree_[i] = i & (~i + 1);  // lowbit(i): the node covers that many ones
+    }
+    count_ = n;
+    top_bit_ = 1;
+    while (top_bit_ * 2 <= n) {
+      top_bit_ *= 2;
+    }
+  }
+
+  /// Clears active index i (which must be active).
+  void Deactivate(size_t i) {
+    for (size_t pos = i + 1; pos < tree_.size(); pos += pos & (~pos + 1)) {
+      --tree_[pos];
+    }
+    --count_;
+  }
+
+  size_t count() const { return count_; }
+
+  /// Index of the r-th active flag; requires r < count().
+  size_t Select(size_t r) const {
+    size_t pos = 0;
+    size_t remaining = r + 1;
+    for (size_t step = top_bit_; step > 0; step /= 2) {
+      if (pos + step < tree_.size() && tree_[pos + step] < remaining) {
+        pos += step;
+        remaining -= tree_[pos];
+      }
+    }
+    return pos;  // 1-based position pos + 1 is 0-based index pos
+  }
+
+ private:
+  std::vector<size_t> tree_;
+  size_t count_ = 0;
+  size_t top_bit_ = 1;
+};
+
+/// Skip pointers over the unclustered indices: Next(i) is the smallest
+/// unclustered index >= i (n when none remains). Path halving keeps a walk
+/// over the unclustered set proportional to its size, however many
+/// clustered indices lie between.
+class UnclusteredSkip {
+ public:
+  void Reset(size_t n) {
+    next_.resize(n + 1);
+    for (size_t i = 0; i <= n; ++i) {
+      next_[i] = i;
+    }
+  }
+
+  void Remove(size_t i) { next_[i] = i + 1; }
+
+  size_t Next(size_t i) {
+    while (next_[i] != i) {
+      next_[i] = next_[next_[i]];
+      i = next_[i];
+    }
+    return i;
+  }
+
+ private:
+  std::vector<size_t> next_;
+};
+
 }  // namespace
 
 Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
@@ -109,7 +184,11 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
       tel != nullptr
           ? tel->metrics().GetCounter("distance.candidates.prefiltered")
           : nullptr;
-  size_t top_needed = 0;
+  int k_global = 2;
+  for (const Trajectory& t : dataset.trajectories()) {
+    k_global = std::max(k_global, t.requirement().k);
+  }
+  const size_t top_needed = static_cast<size_t>(k_global - 1);
   double reach_pad = 0.0;
   double max_half_diag = 0.0;
   std::vector<double> center_x;
@@ -117,11 +196,6 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
   std::vector<double> half_diag;
   std::optional<GridIndex> grid;
   if (cascade) {
-    int k_global = 2;
-    for (const Trajectory& t : dataset.trajectories()) {
-      k_global = std::max(k_global, t.requirement().k);
-    }
-    top_needed = static_cast<size_t>(k_global - 1);
     reach_pad = std::hypot(options.distance.tolerance.dx,
                            options.distance.tolerance.dy);
     center_x.resize(n);
@@ -144,10 +218,13 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
       grid->Insert(i, center_x[i], center_y[i]);
     }
   }
-  // Scratch reused across pivot scans (cascade path).
+  // Scratch reused across pivot scans. `in_reach` marks the explicit
+  // candidates of the current scan and is cleared slot by slot afterwards,
+  // so no per-pivot step touches all n indices.
   std::vector<size_t> reach;
-  std::vector<char> in_reach;
+  std::vector<char> in_reach(cascade ? n : 0, 0);
   std::vector<size_t> near_candidates;
+  std::vector<size_t> candidates;
   std::vector<ShardedPairDistanceCache::ProbeResult> probe_results;
   struct RefineEntry {
     double bound;
@@ -155,7 +232,11 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
     ShardedPairDistanceCache::BoundRung rung;
   };
   std::vector<RefineEntry> refine;
+  std::vector<std::pair<double, size_t>> pool;
+  std::vector<size_t> nearest;
   TopKThreshold threshold;
+  ActiveRanks active_ranks;
+  UnclusteredSkip unclustered;
   // Pure distance evaluations fan out over the pool; every ordering and
   // tie-breaking decision below stays on this thread, so the outcome is
   // identical for any thread count (see DESIGN.md "Parallel execution").
@@ -177,10 +258,9 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
     telemetry::CounterAdd(rounds_counter);
     std::vector<bool> active(n, true);
     std::vector<bool> clustered(n, false);
-    std::vector<size_t> active_list(n);
-    for (size_t i = 0; i < n; ++i) {
-      active_list[i] = i;
-    }
+    active_ranks.Reset(n);
+    unclustered.Reset(n);
+    size_t unclustered_count = n;
     std::vector<AnonymityCluster> clusters;
 
     // Set when the run context trips mid-round and allow_partial_results
@@ -191,8 +271,9 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
 
     // --- Phase 1: pivot selection and cluster growth (lines 3-19). ---
     std::vector<size_t> chosen_pivots;
+    std::vector<size_t> active_list;
     std::vector<double> scratch_values;
-    while (!active_list.empty()) {
+    while (active_ranks.count() > 0) {
       // Cooperative yield point: one check per cluster attempt.
       if (Status s = CheckRunContext(context); !s.ok()) {
         if (!options.allow_partial_results) {
@@ -203,12 +284,22 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
         break;
       }
       // Pivot selection: random (Algorithm 3) or farthest-first (the W4M
-      // heuristic, exposed as an ablation).
+      // heuristic, exposed as an ablation). The random draw is a rank into
+      // the active indices in increasing order.
       size_t pivot;
       if (options.pivot_policy == WcopOptions::PivotPolicy::kFarthestFirst &&
           !chosen_pivots.empty()) {
         // Batch the candidate scores (pure, exact distances); the argmax
-        // with its first-wins tie-break runs serially below.
+        // with its first-wins tie-break runs serially below. The scan
+        // already costs |active| x |pivots| distances, so listing the
+        // active indices here adds nothing asymptotic.
+        active_list.clear();
+        for (size_t c = unclustered.Next(0); c < n;
+             c = unclustered.Next(c + 1)) {
+          if (active[c]) {
+            active_list.push_back(c);
+          }
+        }
         scratch_values.assign(active_list.size(), 0.0);
         WCOP_TRACE_SPAN(tel, "cluster/farthest_scan");
         Status batch = parallel::ParallelFor(
@@ -234,7 +325,7 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
           }
         }
       } else {
-        pivot = active_list[rng.UniformIndex(active_list.size())];
+        pivot = active_ranks.Select(rng.UniformIndex(active_ranks.count()));
       }
       chosen_pivots.push_back(pivot);
       WCOP_TRACE_SPAN(tel, "cluster/grow");
@@ -246,24 +337,30 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
       cluster.k = dataset[pivot].requirement().k;
       cluster.delta = dataset[pivot].requirement().delta;
 
-      // Distances from the pivot to every unclustered candidate, nearest
-      // first (the pivot's NN pool of line 8 is D - Clustered). The batch
-      // computes pure distances into per-candidate slots; candidates whose
-      // length lower bound already exceeds radius_max keep the bound — they
-      // sort after every in-radius candidate and can only appear in
-      // clusters the radius test rejects anyway, so the accepted clusters
-      // are exactly those of a full computation.
-      std::vector<size_t> candidates;
-      candidates.reserve(n);
-      for (size_t cand = 0; cand < n; ++cand) {
-        if (cand == pivot || clustered[cand]) {
-          continue;
-        }
-        candidates.push_back(cand);
-      }
-      std::vector<std::pair<double, size_t>> pool;
-      pool.reserve(candidates.size());
+      // The pivot's NN pool of line 8 is D - Clustered, ordered by
+      // (distance, index). A cluster takes at most top_needed of it, so only
+      // that prefix is ever materialized. `pool` holds the *explicit*
+      // entries: exact distances, or — for candidates whose lower bound
+      // already exceeds the scan's cutoff — the bound. A bound entry sorts
+      // after every candidate the cluster could accept (it has top_needed
+      // exact entries ahead of it, or lies outside radius_max, where the
+      // radius test rejects the cluster anyway), so the accepted clusters
+      // are exactly those of a full computation. On the cascade path every
+      // other unclustered candidate is *implicit*: certified at exactly
+      // edr_scale (outside the grid reach, or MBR-separated from the
+      // pivot), it ties with the rest at that value in index order and is
+      // merged into the prefix straight from the unclustered set.
+      const size_t others = unclustered_count - 1;  // the pivot is unclustered
+      pool.clear();
+      size_t implicit = 0;
       if (!cascade) {
+        candidates.clear();
+        for (size_t c = unclustered.Next(0); c < n;
+             c = unclustered.Next(c + 1)) {
+          if (c != pivot) {
+            candidates.push_back(c);
+          }
+        }
         scratch_values.assign(candidates.size(), 0.0);
         WCOP_TRACE_SPAN(tel, "cluster/pivot_scan");
         Status batch = parallel::ParallelFor(
@@ -282,35 +379,36 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
       } else {
         WCOP_TRACE_SPAN(tel, "cluster/pivot_scan");
         threshold.Reset(top_needed);
-        // Grid pre-filter: every candidate the reach query cannot return
-        // is certified unmatchable with the pivot — its normalized EDR is
-        // exactly 1.0 (all-substitution alignment), entered into the pool
-        // as that exact distance with zero per-pair work.
+        // Grid pre-filter + separation: a candidate the reach query cannot
+        // return, or whose tolerance-dilated MBR is disjoint from the
+        // pivot's, is certified unmatchable — its normalized EDR is exactly
+        // 1.0 (all-substitution alignment) with zero per-pair work, and it
+        // stays implicit. Only the rest become explicit probe candidates.
         reach.clear();
         grid->CandidateQuery(center_x[pivot], center_y[pivot],
                              half_diag[pivot] + max_half_diag + reach_pad,
                              &reach);
-        in_reach.assign(n, 0);
-        for (size_t c : reach) {
-          in_reach[c] = 1;
-        }
         near_candidates.clear();
-        uint64_t prefiltered = 0;
-        for (size_t cand : candidates) {
-          if (in_reach[cand]) {
-            near_candidates.push_back(cand);
+        for (size_t c : reach) {
+          if (c == pivot || clustered[c] || distances.Separated(pivot, c)) {
             continue;
           }
-          pool.emplace_back(options.distance.edr_scale, cand);
+          in_reach[c] = 1;
+          near_candidates.push_back(c);
+        }
+        implicit = others - near_candidates.size();
+        if (implicit > 0) {
+          telemetry::CounterAdd(prefiltered_counter, implicit);
+        }
+        // The threshold keeps the top_needed smallest values pushed, so
+        // min(implicit, top_needed) copies of edr_scale leave it exactly
+        // as one push per implicit candidate would.
+        for (size_t t = 0; t < std::min(implicit, top_needed); ++t) {
           threshold.Push(options.distance.edr_scale);
-          ++prefiltered;
         }
-        if (prefiltered > 0) {
-          telemetry::CounterAdd(prefiltered_counter, prefiltered);
-        }
-        // Cheap bound probes (cache / length / separation / envelope) fan
-        // out in parallel; classification and every ordering decision stay
-        // on this thread.
+        // Cheap bound probes (cache / length / envelope) fan out in
+        // parallel; classification and every ordering decision stay on
+        // this thread.
         probe_results.assign(near_candidates.size(),
                              ShardedPairDistanceCache::ProbeResult{});
         Status batch = parallel::ParallelFor(
@@ -386,19 +484,54 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
           block = std::min(block * 2, size_t{1024});
         }
       }
-      std::sort(pool.begin(), pool.end());
       if (context != nullptr) {
-        context->ChargeCandidatePairs(pool.size());
+        context->ChargeCandidatePairs(others);
+      }
+
+      // Selection: order only the top_needed smallest explicit entries, then
+      // merge them with the implicit candidates, (edr_scale, index) in index
+      // order, into the prefix of the full (distance, index) order.
+      const size_t explicit_take = std::min(top_needed, pool.size());
+      std::partial_sort(pool.begin(), pool.begin() + explicit_take,
+                        pool.end());
+      auto next_implicit = [&](size_t from) {
+        if (implicit == 0) {
+          return n;
+        }
+        size_t c = unclustered.Next(from);
+        while (c < n && (c == pivot || in_reach[c])) {
+          c = unclustered.Next(c + 1);
+        }
+        return c;
+      };
+      nearest.clear();
+      size_t next_explicit = 0;
+      size_t implicit_cand = next_implicit(0);
+      while (nearest.size() < top_needed) {
+        if (next_explicit < explicit_take &&
+            (implicit_cand == n ||
+             pool[next_explicit] <
+                 std::make_pair(options.distance.edr_scale, implicit_cand))) {
+          nearest.push_back(pool[next_explicit++].second);
+        } else if (implicit_cand < n) {
+          nearest.push_back(implicit_cand);
+          implicit_cand = next_implicit(implicit_cand + 1);
+        } else {
+          break;
+        }
+      }
+      for (size_t c : near_candidates) {
+        in_reach[c] = 0;
       }
 
       size_t next_candidate = 0;
       bool grown = true;
       while (static_cast<size_t>(cluster.k) > cluster.members.size()) {
-        if (next_candidate >= pool.size()) {
+        if (next_candidate >= nearest.size()) {
           grown = false;  // not enough unclustered trajectories remain
           break;
         }
-        const size_t nn = pool[next_candidate].second;
+        const size_t nn = nearest[next_candidate];
         ++next_candidate;
         cluster.members.push_back(nn);
         cluster.k = std::max(cluster.k, dataset[nn].requirement().k);
@@ -420,21 +553,19 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
         }
         for (size_t m : cluster.members) {
           clustered[m] = true;
-          active[m] = false;
+          unclustered.Remove(m);
+          if (active[m]) {
+            active[m] = false;
+            active_ranks.Deactivate(m);
+          }
         }
+        unclustered_count -= cluster.members.size();
         clusters.push_back(std::move(cluster));
-        // Compact the active list.
-        active_list.erase(
-            std::remove_if(active_list.begin(), active_list.end(),
-                           [&](size_t idx) { return !active[idx]; }),
-            active_list.end());
       } else {
         // Reject: only the pivot leaves the active set (line 18).
         telemetry::CounterAdd(grown ? rejected_radius : rejected_exhausted);
         active[pivot] = false;
-        active_list.erase(
-            std::remove(active_list.begin(), active_list.end(), pivot),
-            active_list.end());
+        active_ranks.Deactivate(pivot);
       }
     }
 

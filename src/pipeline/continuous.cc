@@ -377,6 +377,13 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
           m.suppressed_delta += m.input_fragments;
         } else if (!sharded.ok()) {
           return sharded.status();
+        } else if (options.verify_shards && !sharded->all_verified) {
+          // A window whose shard audit failed is never published: withdraw
+          // the streamed output and fail before the manifest commit point.
+          RemoveQuietly(output_path);
+          return Status::Internal("window " + std::to_string(wi) +
+                                  ": a shard failed its anonymity audit; "
+                                  "window not published");
         } else {
           const AnonymizationReport& report = sharded->merged.report;
           m.published_fragments =

@@ -99,7 +99,9 @@ struct ContinuousPipelineOptions {
   store::PartitionOptions partition;
 
   /// Audit every shard of every window with VerifyAnonymity (slow; the
-  /// chaos and e2e tests turn it on, production defaults off).
+  /// chaos and e2e tests turn it on, production defaults off). A window
+  /// with a failed shard audit is withdrawn and the run fails with
+  /// kInternal before that window's manifest commits.
   bool verify_shards = false;
 
   /// Persist per-shard checkpoints under the work dir so a mid-window

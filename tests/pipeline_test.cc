@@ -16,6 +16,7 @@
 #include "anon/streaming.h"
 #include "common/failpoint.h"
 #include "common/retry.h"
+#include "common/snapshot.h"
 #include "pipeline/continuous.h"
 #include "pipeline/manifest.h"
 #include "store/store_file.h"
@@ -421,6 +422,49 @@ TEST_F(PipelineTest, RaisedWindowCapResumesIntoThePrefix) {
   ASSERT_TRUE(full.ok()) << full.status();
   EXPECT_EQ(full->resumed_windows, 1u);
   EXPECT_EQ(full->windows.size(), 3u);
+}
+
+TEST_F(PipelineTest, FailedShardAuditIsNeverPublished) {
+  // Window 0 anonymizes and checkpoints its shards, then an injected fault
+  // stops it before the commit. Each shard checkpoint is then rewritten
+  // with a failed audit verdict (CRC-valid, so it is restored as-is), as
+  // if the shard had published a delta violation. The resumed run must
+  // refuse to publish the window and leave no manifest behind.
+  const std::string source = WriteSource(GroupedDataset());
+  pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
+  options.shard_checkpoints = true;
+  FailpointRegistry::Instance().Arm("pipeline.window_anonymized",
+                                    Status::Internal("stop before commit"),
+                                    /*max_fires=*/1);
+  ASSERT_FALSE(pipeline::RunContinuousPipeline(options).ok());
+  FailpointRegistry::Instance().DisarmAll();
+
+  size_t tampered = 0;
+  for (const auto& entry :
+       fs::recursive_directory_iterator(Path("out/.work"))) {
+    if (entry.path().extension() != ".ckpt") {
+      continue;
+    }
+    const std::string path = entry.path().string();
+    Result<Snapshot> snapshot = ReadSnapshotFile(path);
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    std::string payload = snapshot->payload;
+    const std::string verdict = "\nverification 1";
+    const size_t at = payload.find(verdict);
+    ASSERT_NE(at, std::string::npos);
+    payload[at + verdict.size() - 1] = '0';
+    ASSERT_TRUE(
+        WriteSnapshotFile(path, payload, snapshot->format_version).ok());
+    ++tampered;
+  }
+  ASSERT_GT(tampered, 0u);
+
+  options.resume = true;
+  Result<pipeline::ContinuousPipelineResult> result =
+      pipeline::RunContinuousPipeline(options);
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_FALSE(fs::exists(Path("out/window_00000.mfr")));
+  EXPECT_FALSE(fs::exists(Path("out/window_00000.wst")));
 }
 
 TEST_F(PipelineTest, InjectedEnospcFailsWithoutRetryPolicy) {
