@@ -1,7 +1,8 @@
 // Micro-benchmarks of the computational primitives behind the WCOP suite:
 // EDR distance / op reconstruction, synchronized Euclidean distance, DBSCAN,
-// grid-index range queries, TRACLUS MDL partitioning, greedy clustering and
-// the translation phase. google-benchmark binary — runs standalone.
+// grid-index range queries, TRACLUS MDL partitioning, greedy clustering,
+// the translation phase and the store's block codec. google-benchmark
+// binary — runs standalone.
 //
 // `--json-out=FILE` (the shared bench_util flag) additionally captures every
 // run as a machine-readable record; all other flags pass through to
@@ -25,6 +26,7 @@
 #include "index/grid_index.h"
 #include "mod/trajectory_store.h"
 #include "segment/traclus.h"
+#include "store/store_file.h"
 
 using namespace wcop;
 using namespace wcop::bench;
@@ -255,6 +257,84 @@ void BM_StoreNearestAt(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StoreNearestAt)->Range(64, 512);
+
+// Store block codec over 1k records x 8 points: the text record of
+// AppendTrajectoryRecord / ParseTrajectoryRecord against the floor a binary
+// payload (raw IEEE-754 bits, memcpy) could reach. The `per_double` counter
+// is seconds per double a record carries (x, y, t per point, plus delta),
+// printed with an SI prefix: "100n" is 100 ns.
+constexpr size_t kCodecRecords = 1000;
+constexpr size_t kCodecPoints = 8;
+
+void SetPerDouble(benchmark::State& state, const Dataset& d) {
+  const double doubles =
+      static_cast<double>(3 * d.TotalPoints() + d.size());
+  state.counters["per_double"] = benchmark::Counter(
+      doubles, benchmark::Counter::kIsIterationInvariantRate |
+                   benchmark::Counter::kInvert);
+}
+
+void BM_StoreRecordEncode(benchmark::State& state) {
+  const Dataset d = SmallDataset(kCodecRecords, kCodecPoints);
+  std::string out;
+  for (auto _ : state) {
+    out.clear();
+    for (const Trajectory& t : d.trajectories()) {
+      store::AppendTrajectoryRecord(&out, t);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  SetPerDouble(state, d);
+}
+BENCHMARK(BM_StoreRecordEncode);
+
+void BM_StoreRecordDecode(benchmark::State& state) {
+  const Dataset d = SmallDataset(kCodecRecords, kCodecPoints);
+  std::string payload;
+  for (const Trajectory& t : d.trajectories()) {
+    store::AppendTrajectoryRecord(&payload, t);
+  }
+  for (auto _ : state) {
+    size_t pos = 0;
+    for (size_t i = 0; i < d.size(); ++i) {
+      Result<Trajectory> t = store::ParseTrajectoryRecord(payload, &pos);
+      benchmark::DoNotOptimize(t);
+    }
+  }
+  SetPerDouble(state, d);
+}
+BENCHMARK(BM_StoreRecordDecode);
+
+void BM_StoreRecordRawBits(benchmark::State& state) {
+  const Dataset d = SmallDataset(kCodecRecords, kCodecPoints);
+  std::string out;
+  std::vector<Point> back;
+  for (auto _ : state) {
+    out.clear();
+    for (const Trajectory& t : d.trajectories()) {
+      const double delta = t.requirement().delta;
+      out.append(reinterpret_cast<const char*>(&delta), sizeof(delta));
+      out.append(reinterpret_cast<const char*>(t.points().data()),
+                 t.size() * sizeof(Point));
+    }
+    size_t pos = 0;
+    for (const Trajectory& t : d.trajectories()) {
+      double delta;
+      std::memcpy(&delta, out.data() + pos, sizeof(delta));
+      pos += sizeof(delta);
+      back.resize(t.size());
+      std::memcpy(back.data(), out.data() + pos, t.size() * sizeof(Point));
+      pos += t.size() * sizeof(Point);
+      benchmark::DoNotOptimize(back.data());
+      benchmark::DoNotOptimize(delta);
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  SetPerDouble(state, d);
+}
+BENCHMARK(BM_StoreRecordRawBits);
 
 void BM_WcopCtEndToEnd(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -2,8 +2,10 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <optional>
+
+#include "common/number_codec.h"
 
 namespace wcop {
 
@@ -52,28 +54,23 @@ void HashWcopOptions(uint64_t* h, const WcopOptions& o) {
 }
 
 // ---------------------------------------------------------------------------
-// Text encoding helpers. Doubles print at %.17g, which strtod round-trips
-// exactly, so resumed arithmetic matches the uninterrupted run bit-for-bit.
+// Text encoding helpers. Numbers use common/number_codec.h, whose doubles
+// round-trip exactly, so resumed arithmetic matches the uninterrupted run
+// bit-for-bit.
 // ---------------------------------------------------------------------------
 
 void AppendU64(std::string* out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
+  codec::AppendUint(out, v);
   out->push_back(' ');
 }
 
 void AppendI64(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out->append(buf);
+  codec::AppendInt(out, v);
   out->push_back(' ');
 }
 
 void AppendDouble(std::string* out, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
+  codec::AppendDouble(out, v);
   out->push_back(' ');
 }
 
@@ -120,21 +117,9 @@ class TokenReader {
     return Word(&word) && word == expect;
   }
 
-  bool U64(uint64_t* out) {
-    std::string word;
-    if (!Word(&word)) return false;
-    char* end = nullptr;
-    *out = std::strtoull(word.c_str(), &end, 10);
-    return end != word.c_str() && *end == '\0';
-  }
+  bool U64(uint64_t* out) { return Number(codec::ParseUint, out); }
 
-  bool I64(int64_t* out) {
-    std::string word;
-    if (!Word(&word)) return false;
-    char* end = nullptr;
-    *out = std::strtoll(word.c_str(), &end, 10);
-    return end != word.c_str() && *end == '\0';
-  }
+  bool I64(int64_t* out) { return Number(codec::ParseInt, out); }
 
   bool SizeT(size_t* out) {
     uint64_t v = 0;
@@ -150,13 +135,7 @@ class TokenReader {
     return true;
   }
 
-  bool Double(double* out) {
-    std::string word;
-    if (!Word(&word)) return false;
-    char* end = nullptr;
-    *out = std::strtod(word.c_str(), &end);
-    return end != word.c_str() && *end == '\0';
-  }
+  bool Double(double* out) { return Number(codec::ParseDouble, out); }
 
   bool Bool(bool* out) {
     uint64_t v = 0;
@@ -178,6 +157,16 @@ class TokenReader {
   }
 
  private:
+  template <typename T>
+  bool Number(std::optional<T> (*parse)(std::string_view), T* out) {
+    std::string word;
+    if (!Word(&word)) return false;
+    const std::optional<T> v = parse(word);
+    if (!v.has_value()) return false;
+    *out = *v;
+    return true;
+  }
+
   static bool IsSpace(char c) {
     return c == ' ' || c == '\n' || c == '\t' || c == '\r';
   }

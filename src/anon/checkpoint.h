@@ -24,8 +24,9 @@ namespace wcop {
 /// decodes the checkpoint, verifies the config fingerprint, splices the
 /// completed work back in, and continues from the first uncompleted unit.
 ///
-/// Both encodings are plain deterministic text with doubles printed at
-/// %.17g (exact round-trip), so a resumed run reproduces the uninterrupted
+/// Both encodings are plain deterministic text with numbers in the
+/// common/number_codec.h spelling (exact round-trip; legacy %.17g payloads
+/// still decode), so a resumed run reproduces the uninterrupted
 /// run byte-for-byte. Integrity is the snapshot envelope's job (CRC32);
 /// decode failures on a validated payload therefore still report kDataLoss
 /// and callers treat them like a corrupt file.

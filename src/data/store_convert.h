@@ -22,7 +22,8 @@ struct StoreConvertStats {
 /// Converts the exchange-CSV at `csv_path` (traj_id,object_id,parent_id,
 /// k,delta,x,y,t — the WriteDatasetCsv format) into a trajectory store at
 /// `store_path`. Values round-trip bit-exactly from the parsed CSV: the
-/// store keeps the %.17g text of the doubles the parser produced.
+/// store keeps the shortest round-trip text (common/number_codec.h) of the
+/// doubles the parser produced.
 Result<StoreConvertStats> ConvertCsvToStore(const std::string& csv_path,
                                             const std::string& store_path,
                                             const RunContext* context =

@@ -72,10 +72,6 @@ std::string CarryPath(const std::string& work_dir, size_t window) {
   return work_dir + "/" + IndexName("carry_", window, ".wst");
 }
 
-std::string ShardDirPath(const std::string& work_dir, size_t window) {
-  return work_dir + "/" + IndexName("shards_", window, "");
-}
-
 std::string CheckpointDirPath(const std::string& work_dir, size_t window) {
   return work_dir + "/" + IndexName("ckpt_", window, "");
 }
@@ -314,7 +310,6 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
         wi == 0 ? std::string() : CarryPath(work_dir, wi);
     const std::string carry_out = CarryPath(work_dir, wi + 1);
     const std::string output_path = WindowStorePath(options.output_dir, wi);
-    const std::string shard_dir = ShardDirPath(work_dir, wi);
 
     WindowOutcome outcome;
     int attempts = 0;
@@ -358,7 +353,6 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
         store::ShardRunOptions run;
         run.wcop = options.wcop;
         run.partition = options.partition;
-        run.shard_dir = shard_dir;
         run.verify_shards = options.verify_shards;
         run.shard_parallelism = 1;  // stream_output_store requires it
         run.stream_output_store = output_path;
@@ -434,12 +428,11 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
     //    carry_<wi-1> can only be needed if the resume scan steps back to
     //    recompute window wi-1, which it can no longer do once window wi's
     //    manifest committed with an intact chain. The window input and the
-    //    shard scratch are re-derivable, so they go immediately.
+    //    shard checkpoints are re-derivable, so they go immediately.
     if (wi >= 1) {
       RemoveQuietly(CarryPath(work_dir, wi - 1));
     }
     RemoveQuietly(input_path);
-    RemoveQuietly(shard_dir);
     RemoveQuietly(CheckpointDirPath(work_dir, wi));
 
     const WindowManifest& m = outcome.manifest;

@@ -1,13 +1,9 @@
 #include "pipeline/manifest.h"
 
-#include <cctype>
-#include <cerrno>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 
+#include "common/number_codec.h"
 #include "common/snapshot.h"
 
 namespace wcop {
@@ -16,104 +12,22 @@ namespace pipeline {
 namespace {
 
 // Same text conventions as the shard checkpoint codec: space-separated
-// tokens, %.17g doubles (strtod round-trips them exactly).
+// tokens, numbers in the common/number_codec.h spelling.
 
 void AppendU64(std::string* out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
+  codec::AppendUint(out, v);
   out->push_back(' ');
 }
 
 void AppendI64(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out->append(buf);
+  codec::AppendInt(out, v);
   out->push_back(' ');
 }
 
 void AppendF64(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
+  codec::AppendDouble(out, v);
   out->push_back(' ');
 }
-
-class ManifestScanner {
- public:
-  explicit ManifestScanner(std::string_view text) : text_(text) {}
-
-  Result<std::string_view> Next() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) {
-      return Status::DataLoss("window manifest: truncated payload");
-    }
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) == 0) {
-      ++pos_;
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  Result<uint64_t> NextU64() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[32];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("window manifest: oversized token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(buf, &end, 10);
-    if (errno != 0 || end != buf + tok.size()) {
-      return Status::DataLoss("window manifest: bad integer");
-    }
-    return static_cast<uint64_t>(v);
-  }
-
-  Result<int64_t> NextI64() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[32];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("window manifest: oversized token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(buf, &end, 10);
-    if (errno != 0 || end != buf + tok.size()) {
-      return Status::DataLoss("window manifest: bad integer");
-    }
-    return static_cast<int64_t>(v);
-  }
-
-  Result<double> NextF64() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[64];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("window manifest: oversized token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(buf, &end);
-    if (errno != 0 || end != buf + tok.size()) {
-      return Status::DataLoss("window manifest: bad double");
-    }
-    return v;
-  }
-
- private:
-  std::string_view text_;
-  size_t pos_ = 0;
-};
 
 constexpr std::string_view kMarker = "wcop-window-manifest";
 
@@ -148,34 +62,31 @@ std::string EncodeWindowManifest(const WindowManifest& m) {
 }
 
 Result<WindowManifest> DecodeWindowManifest(std::string_view payload) {
-  ManifestScanner scan(payload);
-  WCOP_ASSIGN_OR_RETURN(std::string_view marker, scan.Next());
-  if (marker != kMarker) {
-    return Status::DataLoss("window manifest: bad marker");
-  }
+  codec::TokenScanner scan(payload, "window manifest");
+  WCOP_RETURN_IF_ERROR(scan.Expect(kMarker));
   WindowManifest m;
-  WCOP_ASSIGN_OR_RETURN(m.config_fingerprint, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.window_index, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.window_start, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(m.window_end, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(m.input_fragments, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.published_fragments, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.suppressed_delta, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.carried_in, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.carried_out, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.clusters, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.ttd, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(uint64_t skipped, scan.NextU64());
+  WCOP_ASSIGN_OR_RETURN(m.config_fingerprint, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(m.window_index, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(m.window_start, scan.NextDouble());
+  WCOP_ASSIGN_OR_RETURN(m.window_end, scan.NextDouble());
+  WCOP_ASSIGN_OR_RETURN(m.input_fragments, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(m.published_fragments, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(m.suppressed_delta, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(m.carried_in, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(m.carried_out, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(m.clusters, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(m.ttd, scan.NextDouble());
+  WCOP_ASSIGN_OR_RETURN(uint64_t skipped, scan.NextUint());
   m.skipped = skipped != 0;
-  WCOP_ASSIGN_OR_RETURN(uint64_t degraded, scan.NextU64());
+  WCOP_ASSIGN_OR_RETURN(uint64_t degraded, scan.NextUint());
   m.degraded = degraded != 0;
-  WCOP_ASSIGN_OR_RETURN(m.next_fragment_id, scan.NextI64());
-  WCOP_ASSIGN_OR_RETURN(m.input_crc, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.input_size, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.output_crc, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.output_size, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.carry_crc, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(m.carry_size, scan.NextU64());
+  WCOP_ASSIGN_OR_RETURN(m.next_fragment_id, scan.NextInt());
+  WCOP_ASSIGN_OR_RETURN(m.input_crc, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(m.input_size, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(m.output_crc, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(m.output_size, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(m.carry_crc, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(m.carry_size, scan.NextUint());
   return m;
 }
 

@@ -17,7 +17,8 @@
 /// lifecycle point recoverable to byte-identical published output.
 ///
 /// The payload is the whitespace text codec used by the shard checkpoint
-/// (%.17g doubles, lossless round-trip) and carries no timestamps or paths,
+/// (common/number_codec.h: shortest round-trip doubles, and legacy %.17g
+/// spellings still parse) and carries no timestamps or paths,
 /// so manifests themselves are byte-identical across interrupted and
 /// uninterrupted runs.
 

@@ -1,10 +1,9 @@
 #include "server/job.h"
 
 #include <cctype>
-#include <cinttypes>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
+
+#include "common/number_codec.h"
 
 namespace wcop {
 namespace server {
@@ -25,54 +24,46 @@ void AppendString(std::string* out, std::string_view key,
 }
 
 void AppendInt(std::string* out, std::string_view key, int64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, value);
-  AppendLine(out, key, buf);
+  std::string text;
+  codec::AppendInt(&text, value);
+  AppendLine(out, key, text);
 }
 
 void AppendUint(std::string* out, std::string_view key, uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, value);
-  AppendLine(out, key, buf);
+  std::string text;
+  codec::AppendUint(&text, value);
+  AppendLine(out, key, text);
 }
 
 void AppendDouble(std::string* out, std::string_view key, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  AppendLine(out, key, buf);
+  std::string text;
+  codec::AppendDouble(&text, value);
+  AppendLine(out, key, text);
 }
 
 Result<int64_t> ParseInt(std::string_view value) {
-  char* end = nullptr;
-  const std::string copy(value);
-  const long long parsed = std::strtoll(copy.c_str(), &end, 10);
-  if (end == copy.c_str() || *end != '\0') {
-    return Status::ParseError("bad integer '" + copy + "'");
+  const std::optional<int64_t> parsed = codec::ParseInt(value);
+  if (!parsed.has_value()) {
+    return Status::ParseError("bad integer '" + std::string(value) + "'");
   }
-  return static_cast<int64_t>(parsed);
+  return *parsed;
 }
 
 Result<uint64_t> ParseUint(std::string_view value) {
-  char* end = nullptr;
-  const std::string copy(value);
-  if (!copy.empty() && copy[0] == '-') {
-    return Status::ParseError("bad unsigned integer '" + copy + "'");
+  const std::optional<uint64_t> parsed = codec::ParseUint(value);
+  if (!parsed.has_value()) {
+    return Status::ParseError("bad unsigned integer '" + std::string(value) +
+                              "'");
   }
-  const unsigned long long parsed = std::strtoull(copy.c_str(), &end, 10);
-  if (end == copy.c_str() || *end != '\0') {
-    return Status::ParseError("bad unsigned integer '" + copy + "'");
-  }
-  return static_cast<uint64_t>(parsed);
+  return *parsed;
 }
 
 Result<double> ParseDouble(std::string_view value) {
-  char* end = nullptr;
-  const std::string copy(value);
-  const double parsed = std::strtod(copy.c_str(), &end);
-  if (end == copy.c_str() || *end != '\0') {
-    return Status::ParseError("bad double '" + copy + "'");
+  const std::optional<double> parsed = codec::ParseDouble(value);
+  if (!parsed.has_value()) {
+    return Status::ParseError("bad double '" + std::string(value) + "'");
   }
-  return parsed;
+  return *parsed;
 }
 
 Result<bool> ParseBool(std::string_view value) {

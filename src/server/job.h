@@ -18,9 +18,10 @@
 /// publish it twice (output publication is an atomic rename).
 ///
 /// Codec: one "key value" pair per line; string values are percent-escaped
-/// so paths and error messages with spaces/newlines round-trip; doubles are
-/// printed %.17g so the strtod round-trip is bit-exact (the same convention
-/// as the store blocks and checkpoint payloads). Unknown keys are skipped
+/// so paths and error messages with spaces/newlines round-trip; numbers use
+/// common/number_codec.h (shortest round-trip doubles, bit-exact; legacy
+/// %.17g records still parse), like the store blocks and checkpoint
+/// payloads. Unknown keys are skipped
 /// on decode, so old binaries read records written by newer ones.
 
 #include <cstdint>

@@ -575,7 +575,6 @@ Status AnonymizationService::ExecuteJob(JobRecord* record,
   run.wcop.allow_partial_results = spec.allow_partial;
   run.partition.num_shards = spec.shards;
   run.partition.overlap_margin = spec.overlap_margin;
-  run.shard_dir = work_dir + "/shards";
   // Per-job checkpoints are what make kill -9 cheap: a restarted job
   // resumes past every shard that already finished.
   run.checkpoint_dir = work_dir + "/ckpt";

@@ -1,20 +1,18 @@
 #include "store/shard_runner.h"
 
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cerrno>
-#include <cinttypes>
-#include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <utility>
 
 #include "anon/checkpoint.h"
 #include "anon/wcop.h"
 #include "common/failpoint.h"
+#include "common/number_codec.h"
 #include "common/parallel.h"
 #include "common/snapshot.h"
 #include "common/stopwatch.h"
@@ -85,113 +83,19 @@ uint64_t ShardConfigFingerprint(const Dataset& shard_dataset,
 // ---- checkpoint text codec (snapshot-envelope payload) -----------------
 
 void AppendU64(std::string* out, uint64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-  out->append(buf);
+  codec::AppendUint(out, v);
   out->push_back(' ');
 }
 
 void AppendI64(std::string* out, int64_t v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%" PRId64, v);
-  out->append(buf);
+  codec::AppendInt(out, v);
   out->push_back(' ');
 }
 
 void AppendF64(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
+  codec::AppendDouble(out, v);
   out->push_back(' ');
 }
-
-/// Minimal whitespace tokenizer mirroring the store-block scanner; every
-/// failure is kDataLoss so a damaged checkpoint falls back to recompute.
-class CkptScanner {
- public:
-  explicit CkptScanner(std::string_view text) : text_(text) {}
-
-  Result<std::string_view> Next() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) != 0) {
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) {
-      return Status::DataLoss("shard checkpoint: truncated payload");
-    }
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])) == 0) {
-      ++pos_;
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  Result<uint64_t> NextU64() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[32];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("shard checkpoint: oversized token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(buf, &end, 10);
-    if (errno != 0 || end != buf + tok.size()) {
-      return Status::DataLoss("shard checkpoint: bad integer");
-    }
-    return static_cast<uint64_t>(v);
-  }
-
-  Result<int64_t> NextI64() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[32];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("shard checkpoint: oversized token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(buf, &end, 10);
-    if (errno != 0 || end != buf + tok.size()) {
-      return Status::DataLoss("shard checkpoint: bad integer");
-    }
-    return static_cast<int64_t>(v);
-  }
-
-  Result<double> NextF64() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[64];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("shard checkpoint: oversized token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    const double v = std::strtod(buf, &end);
-    if (end != buf + tok.size()) {
-      return Status::DataLoss("shard checkpoint: bad double");
-    }
-    return v;
-  }
-
-  Status Expect(std::string_view want) {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    if (tok != want) {
-      return Status::DataLoss("shard checkpoint: expected '" +
-                              std::string(want) + "'");
-    }
-    return Status::OK();
-  }
-
-  size_t pos() const { return pos_; }
-
- private:
-  std::string_view text_;
-  size_t pos_ = 0;
-};
 
 struct ShardState {
   AnonymizationResult result;
@@ -279,14 +183,16 @@ std::string EncodeShardCheckpoint(uint64_t fingerprint,
 
 Result<ShardState> DecodeShardCheckpoint(std::string_view payload,
                                          uint64_t expected_fingerprint) {
-  CkptScanner scan(payload);
+  // Every decode failure is kDataLoss, so a damaged checkpoint falls back
+  // to a recompute.
+  codec::TokenScanner scan(payload, "shard checkpoint");
   WCOP_RETURN_IF_ERROR(scan.Expect("wcop-shard-checkpoint"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t codec_version, scan.NextU64());
+  WCOP_ASSIGN_OR_RETURN(uint64_t codec_version, scan.NextUint());
   if (codec_version != 1) {
     return Status::DataLoss("shard checkpoint: unknown codec version");
   }
   WCOP_RETURN_IF_ERROR(scan.Expect("fingerprint"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t fingerprint, scan.NextU64());
+  WCOP_ASSIGN_OR_RETURN(uint64_t fingerprint, scan.NextUint());
   if (fingerprint != expected_fingerprint) {
     return Status::FailedPrecondition(
         "shard checkpoint does not match this shard/configuration");
@@ -294,86 +200,86 @@ Result<ShardState> DecodeShardCheckpoint(std::string_view payload,
   ShardState state;
   AnonymizationReport& r = state.result.report;
   WCOP_RETURN_IF_ERROR(scan.Expect("report"));
-  WCOP_ASSIGN_OR_RETURN(r.input_trajectories, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(r.num_clusters, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(r.trashed_trajectories, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(r.trashed_points, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(r.discernibility, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(r.created_points, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(r.deleted_points, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(r.total_spatial_translation, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(r.total_temporal_translation, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(r.avg_spatial_translation, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(r.avg_temporal_translation, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(r.omega, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(r.ttd, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(r.editing_distortion, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(r.total_distortion, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(r.clustering_rounds, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(r.final_radius, scan.NextF64());
-  WCOP_ASSIGN_OR_RETURN(uint64_t degraded, scan.NextU64());
+  WCOP_ASSIGN_OR_RETURN(r.input_trajectories, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(r.num_clusters, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(r.trashed_trajectories, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(r.trashed_points, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(r.discernibility, scan.NextDouble());
+  WCOP_ASSIGN_OR_RETURN(r.created_points, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(r.deleted_points, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(r.total_spatial_translation, scan.NextDouble());
+  WCOP_ASSIGN_OR_RETURN(r.total_temporal_translation, scan.NextDouble());
+  WCOP_ASSIGN_OR_RETURN(r.avg_spatial_translation, scan.NextDouble());
+  WCOP_ASSIGN_OR_RETURN(r.avg_temporal_translation, scan.NextDouble());
+  WCOP_ASSIGN_OR_RETURN(r.omega, scan.NextDouble());
+  WCOP_ASSIGN_OR_RETURN(r.ttd, scan.NextDouble());
+  WCOP_ASSIGN_OR_RETURN(r.editing_distortion, scan.NextDouble());
+  WCOP_ASSIGN_OR_RETURN(r.total_distortion, scan.NextDouble());
+  WCOP_ASSIGN_OR_RETURN(r.clustering_rounds, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(r.final_radius, scan.NextDouble());
+  WCOP_ASSIGN_OR_RETURN(uint64_t degraded, scan.NextUint());
   r.degraded = degraded != 0;
   WCOP_RETURN_IF_ERROR(scan.Expect("verification"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t ok, scan.NextU64());
+  WCOP_ASSIGN_OR_RETURN(uint64_t ok, scan.NextUint());
   state.verification.ok = ok != 0;
-  WCOP_ASSIGN_OR_RETURN(state.verification.clusters_checked, scan.NextU64());
-  WCOP_ASSIGN_OR_RETURN(state.verification.violations, scan.NextU64());
+  WCOP_ASSIGN_OR_RETURN(state.verification.clusters_checked, scan.NextUint());
+  WCOP_ASSIGN_OR_RETURN(state.verification.violations, scan.NextUint());
   WCOP_RETURN_IF_ERROR(scan.Expect("counters"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t num_counters, scan.NextU64());
+  WCOP_ASSIGN_OR_RETURN(uint64_t num_counters, scan.NextUint());
   if (num_counters > payload.size()) {
     return Status::DataLoss("shard checkpoint: implausible counter count");
   }
   for (uint64_t i = 0; i < num_counters; ++i) {
     WCOP_ASSIGN_OR_RETURN(std::string_view name, scan.Next());
-    WCOP_ASSIGN_OR_RETURN(uint64_t value, scan.NextU64());
+    WCOP_ASSIGN_OR_RETURN(uint64_t value, scan.NextUint());
     r.metrics.counters.emplace_back(std::string(name), value);
   }
   WCOP_RETURN_IF_ERROR(scan.Expect("gauges"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t num_gauges, scan.NextU64());
+  WCOP_ASSIGN_OR_RETURN(uint64_t num_gauges, scan.NextUint());
   if (num_gauges > payload.size()) {
     return Status::DataLoss("shard checkpoint: implausible gauge count");
   }
   for (uint64_t i = 0; i < num_gauges; ++i) {
     WCOP_ASSIGN_OR_RETURN(std::string_view name, scan.Next());
-    WCOP_ASSIGN_OR_RETURN(double value, scan.NextF64());
+    WCOP_ASSIGN_OR_RETURN(double value, scan.NextDouble());
     r.metrics.gauges.emplace_back(std::string(name), value);
   }
   WCOP_RETURN_IF_ERROR(scan.Expect("trashed"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t num_trashed, scan.NextU64());
+  WCOP_ASSIGN_OR_RETURN(uint64_t num_trashed, scan.NextUint());
   if (num_trashed > payload.size()) {
     return Status::DataLoss("shard checkpoint: implausible trash count");
   }
   state.result.trashed_ids.reserve(num_trashed);
   for (uint64_t i = 0; i < num_trashed; ++i) {
-    WCOP_ASSIGN_OR_RETURN(int64_t id, scan.NextI64());
+    WCOP_ASSIGN_OR_RETURN(int64_t id, scan.NextInt());
     state.result.trashed_ids.push_back(id);
   }
   WCOP_RETURN_IF_ERROR(scan.Expect("clusters"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t num_clusters, scan.NextU64());
+  WCOP_ASSIGN_OR_RETURN(uint64_t num_clusters, scan.NextUint());
   if (num_clusters > payload.size()) {
     return Status::DataLoss("shard checkpoint: implausible cluster count");
   }
   state.result.clusters.reserve(num_clusters);
   for (uint64_t i = 0; i < num_clusters; ++i) {
     AnonymityCluster c;
-    WCOP_ASSIGN_OR_RETURN(uint64_t pivot, scan.NextU64());
+    WCOP_ASSIGN_OR_RETURN(uint64_t pivot, scan.NextUint());
     c.pivot = pivot;
-    WCOP_ASSIGN_OR_RETURN(int64_t k, scan.NextI64());
+    WCOP_ASSIGN_OR_RETURN(int64_t k, scan.NextInt());
     c.k = static_cast<int>(k);
-    WCOP_ASSIGN_OR_RETURN(c.delta, scan.NextF64());
-    WCOP_ASSIGN_OR_RETURN(uint64_t num_members, scan.NextU64());
+    WCOP_ASSIGN_OR_RETURN(c.delta, scan.NextDouble());
+    WCOP_ASSIGN_OR_RETURN(uint64_t num_members, scan.NextUint());
     if (num_members > payload.size()) {
       return Status::DataLoss("shard checkpoint: implausible member count");
     }
     c.members.reserve(num_members);
     for (uint64_t m = 0; m < num_members; ++m) {
-      WCOP_ASSIGN_OR_RETURN(uint64_t member, scan.NextU64());
+      WCOP_ASSIGN_OR_RETURN(uint64_t member, scan.NextUint());
       c.members.push_back(member);
     }
     state.result.clusters.push_back(std::move(c));
   }
   WCOP_RETURN_IF_ERROR(scan.Expect("published"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t num_published, scan.NextU64());
+  WCOP_ASSIGN_OR_RETURN(uint64_t num_published, scan.NextUint());
   if (num_published > payload.size()) {
     return Status::DataLoss("shard checkpoint: implausible published count");
   }
@@ -384,62 +290,70 @@ Result<ShardState> DecodeShardCheckpoint(std::string_view payload,
                           ParseTrajectoryRecord(payload, &pos));
     state.result.sanitized.Add(std::move(t));
   }
-  CkptScanner tail(payload.substr(pos));
+  codec::TokenScanner tail(payload, "shard checkpoint", pos);
   WCOP_RETURN_IF_ERROR(tail.Expect("end"));
   return state;
 }
 
 // ---- metrics merge -----------------------------------------------------
 
-void MergeSnapshotInto(telemetry::MetricsSnapshot* a,
-                       const telemetry::MetricsSnapshot& b) {
-  for (const auto& [name, value] : b.counters) {
-    auto it = std::find_if(a->counters.begin(), a->counters.end(),
-                           [&](const auto& p) { return p.first == name; });
-    if (it == a->counters.end()) {
-      a->counters.emplace_back(name, value);
-    } else {
-      it->second += value;
+/// Folds metric snapshots in one pass over name-keyed maps: counters
+/// summed, gauges maxed, histograms merged (count/sum/min/max exactly, the
+/// percentiles as count-weighted blends — the underlying buckets are
+/// gone). Finish() emits every section sorted by name.
+class SnapshotFold {
+ public:
+  void Add(const telemetry::MetricsSnapshot& snapshot) {
+    for (const auto& [name, value] : snapshot.counters) {
+      counters_[name] += value;
+    }
+    for (const auto& [name, value] : snapshot.gauges) {
+      const auto [it, inserted] = gauges_.emplace(name, value);
+      if (!inserted) {
+        it->second = std::max(it->second, value);
+      }
+    }
+    for (const telemetry::HistogramSummary& h : snapshot.histograms) {
+      const auto [it, inserted] = histograms_.emplace(h.name, h);
+      if (!inserted) {
+        MergeHistogram(&it->second, h);
+      }
     }
   }
-  for (const auto& [name, value] : b.gauges) {
-    auto it = std::find_if(a->gauges.begin(), a->gauges.end(),
-                           [&](const auto& p) { return p.first == name; });
-    if (it == a->gauges.end()) {
-      a->gauges.emplace_back(name, value);
-    } else {
-      it->second = std::max(it->second, value);
+
+  telemetry::MetricsSnapshot Finish() && {
+    telemetry::MetricsSnapshot out;
+    out.counters.assign(counters_.begin(), counters_.end());
+    out.gauges.assign(gauges_.begin(), gauges_.end());
+    out.histograms.reserve(histograms_.size());
+    for (auto& [name, h] : histograms_) {
+      out.histograms.push_back(std::move(h));
     }
+    return out;
   }
-  for (const telemetry::HistogramSummary& h : b.histograms) {
-    auto it = std::find_if(a->histograms.begin(), a->histograms.end(),
-                           [&](const auto& s) { return s.name == h.name; });
-    if (it == a->histograms.end()) {
-      a->histograms.push_back(h);
-      continue;
-    }
-    // Exact merge of count/sum/min/max; the percentile fields become
-    // count-weighted blends (the underlying buckets are gone).
-    const double wa = static_cast<double>(it->count);
-    const double wb = static_cast<double>(h.count);
+
+ private:
+  static void MergeHistogram(telemetry::HistogramSummary* a,
+                             const telemetry::HistogramSummary& b) {
+    const double wa = static_cast<double>(a->count);
+    const double wb = static_cast<double>(b.count);
     const double total = std::max(1.0, wa + wb);
-    it->p50 = (it->p50 * wa + h.p50 * wb) / total;
-    it->p90 = (it->p90 * wa + h.p90 * wb) / total;
-    it->p99 = (it->p99 * wa + h.p99 * wb) / total;
-    it->count += h.count;
-    it->sum += h.sum;
-    it->min = std::min(it->min, h.min);
-    it->max = std::max(it->max, h.max);
-    it->mean = it->count == 0 ? 0.0
-                              : static_cast<double>(it->sum) /
-                                    static_cast<double>(it->count);
+    a->p50 = (a->p50 * wa + b.p50 * wb) / total;
+    a->p90 = (a->p90 * wa + b.p90 * wb) / total;
+    a->p99 = (a->p99 * wa + b.p99 * wb) / total;
+    a->count += b.count;
+    a->sum += b.sum;
+    a->min = std::min(a->min, b.min);
+    a->max = std::max(a->max, b.max);
+    a->mean = a->count == 0 ? 0.0
+                            : static_cast<double>(a->sum) /
+                                  static_cast<double>(a->count);
   }
-  std::sort(a->counters.begin(), a->counters.end());
-  std::sort(a->gauges.begin(), a->gauges.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-  std::sort(a->histograms.begin(), a->histograms.end(),
-            [](const auto& x, const auto& y) { return x.name < y.name; });
-}
+
+  std::map<std::string, uint64_t> counters_;
+  std::map<std::string, double> gauges_;
+  std::map<std::string, telemetry::HistogramSummary> histograms_;
+};
 
 }  // namespace
 
@@ -473,7 +387,10 @@ void MergeReportInto(AnonymizationReport* a, const AnonymizationReport& b) {
   a->avg_temporal_translation =
       a->total_temporal_translation /
       static_cast<double>(std::max<size_t>(1, published));
-  MergeSnapshotInto(&a->metrics, b.metrics);
+  SnapshotFold fold;
+  fold.Add(a->metrics);
+  fold.Add(b.metrics);
+  a->metrics = std::move(fold).Finish();
 }
 
 Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
@@ -495,41 +412,14 @@ Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
       out.partition, PartitionStoreIndex(source.index(), options.partition));
   const size_t num_shards = out.partition.shards.size();
 
-  const std::string shard_dir = options.shard_dir.empty()
-                                    ? source.path() + ".shards"
-                                    : options.shard_dir;
-  WCOP_RETURN_IF_ERROR(MakeDir(shard_dir));
   if (!options.checkpoint_dir.empty()) {
     WCOP_RETURN_IF_ERROR(MakeDir(options.checkpoint_dir));
-  }
-  // Janitor pass: a kill between write-tmp and rename (store writer or
-  // checkpoint snapshot) leaves `*.tmp` orphans behind; sweep them now,
-  // before any writer is live, so crashed runs converge instead of
-  // accumulating garbage.
-  WCOP_RETURN_IF_ERROR(SweepStaleArtifacts(shard_dir, parent_tel).status());
-  if (!options.checkpoint_dir.empty()) {
+    // Janitor pass: a kill between write-tmp and rename of a checkpoint
+    // snapshot leaves a `*.tmp` orphan behind; sweep it now, before any
+    // writer is live, so crashed runs converge instead of accumulating
+    // garbage.
     WCOP_RETURN_IF_ERROR(
         SweepStaleArtifacts(options.checkpoint_dir, parent_tel).status());
-  }
-
-  // Phase 1: materialize one store file per shard. Sequential by design —
-  // reads walk the source forward per shard (members are sorted) and the
-  // writer never holds more than one trajectory in memory.
-  {
-    WCOP_TRACE_SPAN(parent_tel, "shard/write_stores");
-    for (const ShardSpec& shard : out.partition.shards) {
-      WCOP_FAILPOINT("shard.write_store");
-      WCOP_RETURN_IF_ERROR(CheckRunContext(options.wcop.run_context));
-      WCOP_ASSIGN_OR_RETURN(
-          TrajectoryStoreWriter writer,
-          TrajectoryStoreWriter::Create(
-              ShardFileName(shard_dir, "shard", shard.shard_index, ".wst")));
-      for (size_t pos : shard.members) {
-        WCOP_ASSIGN_OR_RETURN(Trajectory t, source.Read(pos));
-        WCOP_RETURN_IF_ERROR(writer.Append(t));
-      }
-      WCOP_RETURN_IF_ERROR(writer.Finish());
-    }
   }
 
   // Per-shard RunContext slices: parent deadline and cancellation token
@@ -567,7 +457,7 @@ Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
     }
   }
 
-  // Phase 2: anonymize every shard independently over wcop::parallel.
+  // Anonymize every shard independently over wcop::parallel.
   std::vector<ShardState> states(num_shards);
   std::vector<ShardOutcome> outcomes(num_shards);
   // Live progress: callbacks are serialized under their own mutex so the
@@ -600,12 +490,11 @@ Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
     WCOP_TRACE_SPAN(parent_tel, "shard/run");
         WCOP_FAILPOINT("shard.run");
         const ShardSpec& shard = out.partition.shards[s];
-        const std::string store_path =
-            ShardFileName(shard_dir, "shard", shard.shard_index, ".wst");
-        WCOP_ASSIGN_OR_RETURN(TrajectoryStoreReader reader,
-                              TrajectoryStoreReader::Open(store_path));
-        WCOP_ASSIGN_OR_RETURN(Dataset shard_dataset,
-                              reader.ReadAll(contexts[s].get()));
+        // The shard is a view over the source store: its members are read
+        // (and CRC-checked) in place, never copied to a shard file.
+        WCOP_ASSIGN_OR_RETURN(
+            Dataset shard_dataset,
+            source.ReadSubset(shard.members, contexts[s].get()));
 
         WcopOptions wcop = options.wcop;
         wcop.run_context = contexts[s].get();
@@ -691,78 +580,74 @@ Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
     }
   }
 
-  // Phase 3: merge in shard order.
-  WCOP_TRACE_SPAN(parent_tel, "shard/merge");
-  const bool stream_out = !options.stream_output_store.empty();
-  std::unique_ptr<TrajectoryStoreWriter> out_writer;
-  if (stream_out) {
-    WCOP_ASSIGN_OR_RETURN(
-        TrajectoryStoreWriter writer,
-        TrajectoryStoreWriter::Create(options.stream_output_store));
-    out_writer = std::make_unique<TrajectoryStoreWriter>(std::move(writer));
-  }
-  size_t input_base = 0;
-  bool first_report = true;
-  for (size_t s = 0; s < num_shards; ++s) {
-    ShardState& state = states[s];
-    out.shards.push_back(outcomes[s]);
-    if (outcomes[s].from_checkpoint) {
-      ++out.resumed_shards;
-    }
-    if (!outcomes[s].verification.ok) {
-      out.all_verified = false;
-    }
-    if (first_report) {
-      out.merged.report = state.result.report;
-      first_report = false;
-    } else {
-      MergeReportInto(&out.merged.report, state.result.report);
-    }
-    for (AnonymityCluster cluster : state.result.clusters) {
-      cluster.pivot += input_base;
-      for (size_t& m : cluster.members) {
-        m += input_base;
-      }
-      out.merged.clusters.push_back(std::move(cluster));
-    }
-    out.merged.trashed_ids.insert(out.merged.trashed_ids.end(),
-                                  state.result.trashed_ids.begin(),
-                                  state.result.trashed_ids.end());
+  // Merge in shard order. The span owns only the merge proper and the
+  // streamed output's encode + fsync; the telemetry fold has its own.
+  {
+    WCOP_TRACE_SPAN(parent_tel, "shard/merge");
+    const bool stream_out = !options.stream_output_store.empty();
+    std::unique_ptr<TrajectoryStoreWriter> out_writer;
     if (stream_out) {
-      for (const Trajectory& t : state.result.sanitized.trajectories()) {
-        WCOP_RETURN_IF_ERROR(out_writer->Append(t));
-      }
-    } else {
-      for (Trajectory& t : state.result.sanitized.mutable_trajectories()) {
-        out.merged.sanitized.Add(std::move(t));
-      }
+      WCOP_ASSIGN_OR_RETURN(
+          TrajectoryStoreWriter writer,
+          TrajectoryStoreWriter::Create(options.stream_output_store));
+      out_writer = std::make_unique<TrajectoryStoreWriter>(std::move(writer));
     }
-    input_base += outcomes[s].input_trajectories;
-    state.result = AnonymizationResult();  // free shard memory eagerly
-  }
-  if (out_writer != nullptr) {
-    WCOP_RETURN_IF_ERROR(out_writer->Finish());
-  }
-
-  if (!options.keep_shard_stores) {
-    for (const ShardSpec& shard : out.partition.shards) {
-      std::remove(
-          ShardFileName(shard_dir, "shard", shard.shard_index, ".wst")
-              .c_str());
+    size_t input_base = 0;
+    for (size_t s = 0; s < num_shards; ++s) {
+      ShardState& state = states[s];
+      out.shards.push_back(std::move(outcomes[s]));
+      const ShardOutcome& outcome = out.shards.back();
+      if (outcome.from_checkpoint) {
+        ++out.resumed_shards;
+      }
+      if (!outcome.verification.ok) {
+        out.all_verified = false;
+      }
+      // Metrics are folded once, below; out.shards keeps each shard's.
+      state.result.report.metrics = telemetry::MetricsSnapshot();
+      if (s == 0) {
+        out.merged.report = state.result.report;
+      } else {
+        MergeReportInto(&out.merged.report, state.result.report);
+      }
+      for (AnonymityCluster cluster : state.result.clusters) {
+        cluster.pivot += input_base;
+        for (size_t& m : cluster.members) {
+          m += input_base;
+        }
+        out.merged.clusters.push_back(std::move(cluster));
+      }
+      out.merged.trashed_ids.insert(out.merged.trashed_ids.end(),
+                                    state.result.trashed_ids.begin(),
+                                    state.result.trashed_ids.end());
+      if (stream_out) {
+        for (const Trajectory& t : state.result.sanitized.trajectories()) {
+          WCOP_RETURN_IF_ERROR(out_writer->Append(t));
+        }
+      } else {
+        for (Trajectory& t : state.result.sanitized.mutable_trajectories()) {
+          out.merged.sanitized.Add(std::move(t));
+        }
+      }
+      input_base += outcome.input_trajectories;
+      state.result = AnonymizationResult();  // free shard memory eagerly
     }
-    ::rmdir(shard_dir.c_str());  // succeeds only when empty; best effort
+    if (out_writer != nullptr) {
+      WCOP_RETURN_IF_ERROR(out_writer->Finish());
+    }
   }
-
   out.merged.report.runtime_seconds = wall.ElapsedSeconds();
+
+  WCOP_TRACE_SPAN(parent_tel, "shard/fold_telemetry");
+  SnapshotFold fold;
   if (parent_tel != nullptr) {
     parent_tel->metrics().GetCounter("shard.completed")->Add(num_shards);
     parent_tel->metrics()
         .GetCounter("shard.resumed")
         ->Add(out.resumed_shards);
-    out.merged.report.metrics = parent_tel->metrics().Snapshot();
+    fold.Add(parent_tel->metrics().Snapshot());
     for (size_t s = 0; s < num_shards; ++s) {
-      MergeSnapshotInto(&out.merged.report.metrics,
-                        shard_tels[s]->metrics().Snapshot());
+      fold.Add(shard_tels[s]->metrics().Snapshot());
       // Fold each shard's span buffer into the parent recorder as its own
       // trace-process lane (pid 2 + shard index; the coordinator is pid 1)
       // so the exported JSON is one coherent per-job timeline.
@@ -770,7 +655,12 @@ Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
           shard_tels[s]->trace(),
           static_cast<uint32_t>(2 + out.partition.shards[s].shard_index));
     }
+  } else {
+    for (const ShardOutcome& shard : out.shards) {
+      fold.Add(shard.report.metrics);
+    }
   }
+  out.merged.report.metrics = std::move(fold).Finish();
   return out;
 }
 

@@ -6,6 +6,11 @@
 /// verifier, and merge the published outputs and reports (DESIGN.md
 /// "Dataset store & sharding").
 ///
+/// A shard is a view over the source store: its members are read in place
+/// through the store index, never copied to a per-shard file. The only
+/// files a run writes are the shard checkpoints (`checkpoint_dir`) and the
+/// streamed output (`stream_output_store`).
+///
 /// Memory stays bounded by the largest shard plus the merged output; with
 /// `stream_output_store` set, the merged output streams to disk too and
 /// peak memory is just the largest shard — the out-of-core path the
@@ -52,15 +57,13 @@ struct ShardRunOptions {
 
   PartitionOptions partition;
 
-  /// Directory for the per-shard store files (created if missing).
-  /// Empty = derive `<source>.shards/` next to the source store.
+  /// Unused: shards are read in place from the source store, so nothing
+  /// is written here. Kept only so existing callers (perfbench) still
+  /// compile.
   std::string shard_dir;
 
   /// Audit every shard's output against its input (VerifyAnonymity).
   bool verify_shards = true;
-
-  /// Keep the per-shard store files after the run (default: removed).
-  bool keep_shard_stores = false;
 
   /// When non-empty, each completed shard persists a checkpoint
   /// (`shard_NNNN.ckpt`, snapshot envelope) and a re-run with the same
@@ -105,7 +108,9 @@ struct ShardedRunResult {
 };
 
 /// Runs the full pipeline over `source`. The source store must validate
-/// (Open() succeeded); shard stores are written under `shard_dir`.
+/// (Open() succeeded). Shards read `source` concurrently when
+/// `shard_parallelism > 1`; a damaged block of any shard fails the run
+/// with kDataLoss.
 Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
                                           const ShardRunOptions& options);
 

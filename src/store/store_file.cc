@@ -5,13 +5,12 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cinttypes>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
 #include "common/failpoint.h"
 #include "common/log.h"
+#include "common/number_codec.h"
 #include "common/snapshot.h"
 #include "geo/bounding_box.h"
 
@@ -27,6 +26,7 @@ constexpr size_t kHeaderSize = 8 + 4 + 4;
 constexpr size_t kBlockHeaderSize = 4 + 4;
 constexpr size_t kEntrySize = 13 * 8;  // 13 8-byte fields per index entry
 constexpr size_t kFooterSize = 8 + 8;
+constexpr size_t kContextPollBlocks = 256;  // ReadSubset's RunContext cadence
 
 void PutU32(char* out, uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -68,78 +68,6 @@ double GetF64(const char* in) {
   std::memcpy(&v, &bits, 8);
   return v;
 }
-
-void AppendDouble(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out->append(buf);
-}
-
-/// Whitespace-token scanner over a block payload; every accessor reports
-/// kDataLoss on malformed input (a CRC-valid block can still be malformed
-/// only through a writer bug, but the reader never trusts it).
-class TokenScanner {
- public:
-  TokenScanner(std::string_view text, size_t pos) : text_(text), pos_(pos) {}
-
-  size_t pos() const { return pos_; }
-
-  Result<std::string_view> Next() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\n' ||
-            text_[pos_] == '\r' || text_[pos_] == '\t')) {
-      ++pos_;
-    }
-    if (pos_ >= text_.size()) {
-      return Status::DataLoss("store record: unexpected end of payload");
-    }
-    const size_t start = pos_;
-    while (pos_ < text_.size() && text_[pos_] != ' ' &&
-           text_[pos_] != '\n' && text_[pos_] != '\r' &&
-           text_[pos_] != '\t') {
-      ++pos_;
-    }
-    return text_.substr(start, pos_ - start);
-  }
-
-  Result<int64_t> NextI64() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[32];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("store record: oversized integer token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const long long v = std::strtoll(buf, &end, 10);
-    if (errno != 0 || end != buf + tok.size()) {
-      return Status::DataLoss("store record: bad integer token");
-    }
-    return static_cast<int64_t>(v);
-  }
-
-  Result<double> NextDouble() {
-    WCOP_ASSIGN_OR_RETURN(std::string_view tok, Next());
-    char buf[64];
-    if (tok.size() >= sizeof(buf)) {
-      return Status::DataLoss("store record: oversized double token");
-    }
-    std::memcpy(buf, tok.data(), tok.size());
-    buf[tok.size()] = '\0';
-    char* end = nullptr;
-    errno = 0;
-    const double v = std::strtod(buf, &end);
-    if (end != buf + tok.size()) {
-      return Status::DataLoss("store record: bad double token");
-    }
-    return v;
-  }
-
- private:
-  std::string_view text_;
-  size_t pos_;
-};
 
 Status WriteAll(std::FILE* f, const char* data, size_t n,
                 const std::string& path) {
@@ -217,41 +145,38 @@ StoreEntry DecodeEntry(const char* in) {
 
 void AppendTrajectoryRecord(std::string* out, const Trajectory& t) {
   out->append("traj ");
-  out->append(std::to_string(t.id()));
+  codec::AppendInt(out, t.id());
   out->push_back(' ');
-  out->append(std::to_string(t.object_id()));
+  codec::AppendInt(out, t.object_id());
   out->push_back(' ');
-  out->append(std::to_string(t.parent_id()));
+  codec::AppendInt(out, t.parent_id());
   out->push_back(' ');
-  out->append(std::to_string(t.requirement().k));
+  codec::AppendInt(out, t.requirement().k);
   out->push_back(' ');
-  AppendDouble(out, t.requirement().delta);
+  codec::AppendDouble(out, t.requirement().delta);
   out->push_back(' ');
-  out->append(std::to_string(t.size()));
+  codec::AppendUint(out, t.size());
   out->push_back('\n');
   for (const Point& p : t.points()) {
-    AppendDouble(out, p.x);
+    codec::AppendDouble(out, p.x);
     out->push_back(' ');
-    AppendDouble(out, p.y);
+    codec::AppendDouble(out, p.y);
     out->push_back(' ');
-    AppendDouble(out, p.t);
+    codec::AppendDouble(out, p.t);
     out->push_back('\n');
   }
 }
 
 Result<Trajectory> ParseTrajectoryRecord(std::string_view payload,
                                          size_t* pos) {
-  TokenScanner scan(payload, *pos);
-  WCOP_ASSIGN_OR_RETURN(std::string_view marker, scan.Next());
-  if (marker != "traj") {
-    return Status::DataLoss("store record: missing 'traj' marker");
-  }
-  WCOP_ASSIGN_OR_RETURN(int64_t id, scan.NextI64());
-  WCOP_ASSIGN_OR_RETURN(int64_t object_id, scan.NextI64());
-  WCOP_ASSIGN_OR_RETURN(int64_t parent_id, scan.NextI64());
-  WCOP_ASSIGN_OR_RETURN(int64_t k, scan.NextI64());
+  codec::TokenScanner scan(payload, "store record", *pos);
+  WCOP_RETURN_IF_ERROR(scan.Expect("traj"));
+  WCOP_ASSIGN_OR_RETURN(int64_t id, scan.NextInt());
+  WCOP_ASSIGN_OR_RETURN(int64_t object_id, scan.NextInt());
+  WCOP_ASSIGN_OR_RETURN(int64_t parent_id, scan.NextInt());
+  WCOP_ASSIGN_OR_RETURN(int64_t k, scan.NextInt());
   WCOP_ASSIGN_OR_RETURN(double delta, scan.NextDouble());
-  WCOP_ASSIGN_OR_RETURN(int64_t num_points, scan.NextI64());
+  WCOP_ASSIGN_OR_RETURN(int64_t num_points, scan.NextInt());
   if (num_points < 0 ||
       static_cast<uint64_t>(num_points) > payload.size() - *pos) {
     return Status::DataLoss("store record: implausible point count");
@@ -522,13 +447,22 @@ Result<Trajectory> TrajectoryStoreReader::ReadById(int64_t id) const {
 
 Result<Dataset> TrajectoryStoreReader::ReadAll(
     const RunContext* context) const {
+  std::vector<size_t> all(index_.size());
+  for (size_t i = 0; i < all.size(); ++i) {
+    all[i] = i;
+  }
+  return ReadSubset(all, context);
+}
+
+Result<Dataset> TrajectoryStoreReader::ReadSubset(
+    const std::vector<size_t>& positions, const RunContext* context) const {
   Dataset dataset;
-  dataset.mutable_trajectories().reserve(index_.size());
-  for (size_t i = 0; i < index_.size(); ++i) {
-    if (i % 256 == 0) {
+  dataset.mutable_trajectories().reserve(positions.size());
+  for (size_t i = 0; i < positions.size(); ++i) {
+    if (i % kContextPollBlocks == 0) {
       WCOP_RETURN_IF_ERROR(CheckRunContext(context));
     }
-    WCOP_ASSIGN_OR_RETURN(Trajectory t, Read(i));
+    WCOP_ASSIGN_OR_RETURN(Trajectory t, Read(positions[i]));
     dataset.Add(std::move(t));
   }
   return dataset;

@@ -7,7 +7,8 @@
 /// A store file holds one trajectory per block plus a metadata-rich index,
 /// so a reader can partition or randomly access a multi-gigabyte dataset
 /// without ever materializing it. Layout (all integers little-endian, all
-/// doubles %.17g text in blocks / raw IEEE-754 bits in the index):
+/// doubles shortest round-trip text in blocks / raw IEEE-754 bits in the
+/// index):
 ///
 ///   [0..8)    magic "WCOPSTR1"
 ///   [8..12)   format version (u32)
@@ -16,8 +17,11 @@
 ///               u32 payload_size | u32 crc32(payload) | payload
 ///             payload is the text record of AppendTrajectoryRecord():
 ///               "traj <id> <object_id> <parent_id> <k> <delta> <n>\n"
-///               then n lines "<x> <y> <t>\n", doubles printed %.17g so the
-///               strtod round-trip is bit-exact.
+///               then n lines "<x> <y> <t>\n", numbers in the
+///               common/number_codec.h spelling (shortest decimal that
+///               parses back to the same bits). Version-1 files from older
+///               builds spell doubles %.17g; both spellings parse to the
+///               same bits, so readers and writers of either age interoperate.
 ///   index     "WCOPSIDX" | u64 count | count * 104-byte entries | u32 crc
 ///             each entry: id, offset, block_size, num_points (8 bytes
 ///             each), then k, delta, MBR min_x/min_y/max_x/max_y,
@@ -67,8 +71,8 @@ struct StoreEntry {
   double t_min = 0.0, t_max = 0.0;  ///< trajectory lifetime
 };
 
-/// Appends the %.17g-lossless text record of `t` to `*out`. Exposed so the
-/// shard checkpoint codec can reuse the exact block encoding.
+/// Appends the lossless text record of `t` to `*out`. Exposed so the shard
+/// checkpoint codec can reuse the exact block encoding.
 void AppendTrajectoryRecord(std::string* out, const Trajectory& t);
 
 /// Parses one record starting at `*pos` in `payload`; advances `*pos` past
@@ -140,10 +144,15 @@ class TrajectoryStoreReader {
   /// Random access by trajectory id; kNotFound when absent.
   Result<Trajectory> ReadById(int64_t id) const;
 
-  /// Materializes the whole store (the monolithic path; the sharded
-  /// pipeline reads per-shard subsets instead). Polls `context` every few
-  /// hundred blocks.
+  /// Materializes the whole store (the monolithic path). Polls `context`
+  /// every few hundred blocks.
   Result<Dataset> ReadAll(const RunContext* context = nullptr) const;
+
+  /// Materializes the trajectories at index positions `positions`, in that
+  /// order — the sharded pipeline's per-shard view of the store. Same
+  /// CRC/kDataLoss checks and `context` polling as ReadAll().
+  Result<Dataset> ReadSubset(const std::vector<size_t>& positions,
+                             const RunContext* context = nullptr) const;
 
  private:
   TrajectoryStoreReader() = default;

@@ -2,14 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "anon/streaming.h"
 #include "anon/wcop_b.h"
 #include "common/failpoint.h"
+#include "common/number_codec.h"
 #include "common/snapshot.h"
+#include "pipeline/manifest.h"
+#include "server/job.h"
+#include "store/shard_runner.h"
+#include "store/store_file.h"
 #include "test_util.h"
 
 namespace wcop {
@@ -566,6 +574,216 @@ TEST_F(CheckpointTest, WcopBDegradedRoundIsNotCheckpointed) {
   ASSERT_TRUE(clean.ok()) << clean.status();
   EXPECT_FALSE(clean->resumed);
   EXPECT_FALSE(clean->anonymization.report.degraded);
+}
+
+// ---------------------------------------------------------------------------
+// Upgrade compatibility: artifacts written by builds that spelled doubles
+// printf("%.17g") still load, so a resume across the upgrade works.
+// ---------------------------------------------------------------------------
+
+// Rewrites every non-integer number token of `text` in the legacy %.17g
+// spelling; integers, words and whitespace are kept byte for byte.
+std::string LegacySpelling(std::string_view text) {
+  auto is_space = [](char c) {
+    return c == ' ' || c == '\n' || c == '\r' || c == '\t';
+  };
+  std::string out;
+  size_t i = 0;
+  while (i < text.size()) {
+    if (is_space(text[i])) {
+      out.push_back(text[i++]);
+      continue;
+    }
+    size_t j = i;
+    while (j < text.size() && !is_space(text[j])) {
+      ++j;
+    }
+    const std::string_view token = text.substr(i, j - i);
+    const std::optional<double> v = codec::ParseDouble(token);
+    if (v.has_value() && token.find_first_of(".eEn") != std::string::npos) {
+      char buf[64];
+      std::snprintf(buf, sizeof(buf), "%.17g", *v);
+      out.append(buf);
+    } else {
+      out.append(token);
+    }
+    i = j;
+  }
+  return out;
+}
+
+// The streaming / WCOP-B payloads end in "end <020-digit byte count>\n";
+// a legacy payload carries its own (longer) count.
+std::string LegacyCheckpointPayload(const std::string& payload) {
+  constexpr size_t kTrailer = 25;
+  std::string body = LegacySpelling(payload.substr(0, payload.size() - kTrailer));
+  char trailer[32];
+  std::snprintf(trailer, sizeof(trailer), "end %020zu\n",
+                body.size() + kTrailer);
+  return body + trailer;
+}
+
+TEST_F(CheckpointTest, LegacyStreamingAndWcopBCheckpointsDecode) {
+  StreamingCheckpoint streaming;
+  streaming.fingerprint = 77;
+  streaming.total_ttd = 0.1 + 0.2;
+  StreamingWindowSummary w;
+  w.window_start = 1.0 / 3.0;
+  w.ttd = 0.1;
+  streaming.windows.push_back(w);
+  Trajectory t = MakeLineWithReq(9, 0.1, -3.3, 0.1, 0.7, 5, 3, 0.3);
+  streaming.published.push_back(t);
+  const std::string current = EncodeStreamingCheckpoint(streaming);
+  const std::string legacy = LegacyCheckpointPayload(current);
+  ASSERT_NE(legacy, current);
+  Result<StreamingCheckpoint> decoded = DecodeStreamingCheckpoint(legacy);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  EXPECT_EQ(decoded->total_ttd, streaming.total_ttd);
+  ASSERT_EQ(decoded->windows.size(), 1u);
+  EXPECT_EQ(decoded->windows[0].window_start, w.window_start);
+  EXPECT_EQ(decoded->windows[0].ttd, w.ttd);
+  ASSERT_EQ(decoded->published.size(), 1u);
+  ExpectTrajectoriesIdentical(decoded->published[0], t);
+  // Re-encoding gives the current spelling back: the bits are identical.
+  EXPECT_EQ(EncodeStreamingCheckpoint(*decoded), current);
+
+  WcopBCheckpoint wcop_b;
+  WcopBRound round;
+  round.ttd = 0.1;
+  round.total_distortion = 2.0 / 3.0;
+  wcop_b.rounds.push_back(round);
+  wcop_b.anonymization.sanitized = Dataset({t});
+  const std::string b_current = EncodeWcopBCheckpoint(wcop_b);
+  Result<WcopBCheckpoint> b_decoded =
+      DecodeWcopBCheckpoint(LegacyCheckpointPayload(b_current));
+  ASSERT_TRUE(b_decoded.ok()) << b_decoded.status();
+  EXPECT_EQ(EncodeWcopBCheckpoint(*b_decoded), b_current);
+}
+
+TEST_F(CheckpointTest, LegacyWindowManifestLoads) {
+  pipeline::WindowManifest m;
+  m.config_fingerprint = 0xfeedfacecafebeefULL;
+  m.window_index = 3;
+  m.window_start = 0.1;
+  m.window_end = 900.1;
+  m.ttd = 2.0 / 3.0;
+  m.next_fragment_id = -9;
+  const std::string current = pipeline::EncodeWindowManifest(m);
+  const std::string legacy = LegacySpelling(current);
+  ASSERT_NE(legacy, current);
+  // Through the file path a resume takes: snapshot envelope + decode.
+  const std::string path = Path("window_00003.mfr");
+  ASSERT_TRUE(
+      WriteSnapshotFile(path, legacy, pipeline::kWindowManifestVersion).ok());
+  Result<pipeline::WindowManifest> loaded = pipeline::ReadWindowManifest(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(pipeline::EncodeWindowManifest(*loaded), current);
+  EXPECT_EQ(loaded->window_start, 0.1);
+  EXPECT_EQ(loaded->ttd, 2.0 / 3.0);
+}
+
+TEST_F(CheckpointTest, LegacyJobRecordLoads) {
+  server::JobRecord record;
+  record.id = 5;
+  record.spec.name = "legacy";
+  record.spec.input_store = "/data/in.wst";
+  record.spec.overlap_margin = 0.1;
+  record.spec.assign_delta = 217.3;
+  record.outcome.total_distortion = 12345.6789;
+  record.progress.eta_seconds = 1.0 / 3.0;
+  const std::string current = server::EncodeJobRecord(record);
+  const std::string legacy = LegacySpelling(current);
+  ASSERT_NE(legacy, current);
+  Result<server::JobRecord> loaded = server::DecodeJobRecord(legacy);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(server::EncodeJobRecord(*loaded), current);
+  EXPECT_EQ(loaded->spec.overlap_margin, 0.1);
+  EXPECT_EQ(loaded->progress.eta_seconds, 1.0 / 3.0);
+}
+
+TEST_F(CheckpointTest, LegacyShardCheckpointsResume) {
+  const std::string store_path = Path("source.wst");
+  ASSERT_TRUE(store::WriteDatasetStore(SmallSynthetic(30, 20), store_path).ok());
+  Result<store::TrajectoryStoreReader> reader =
+      store::TrajectoryStoreReader::Open(store_path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  store::ShardRunOptions run;
+  run.wcop.seed = 9;
+  run.partition.num_shards = 2;
+  run.checkpoint_dir = Path("ckpt");
+  Result<store::ShardedRunResult> first = store::RunShardedWcopCt(*reader, run);
+  ASSERT_TRUE(first.ok()) << first.status();
+
+  // Rewrite every checkpoint in the legacy spelling, same envelope version.
+  size_t respelled = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(run.checkpoint_dir)) {
+    Result<Snapshot> snapshot = ReadSnapshotFile(entry.path().string());
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    const std::string legacy = LegacySpelling(snapshot->payload);
+    respelled += legacy != snapshot->payload ? 1 : 0;
+    ASSERT_TRUE(WriteSnapshotFile(entry.path().string(), legacy,
+                                  snapshot->format_version)
+                    .ok());
+  }
+  ASSERT_EQ(respelled, first->partition.shards.size());
+
+  Result<store::ShardedRunResult> resumed =
+      store::RunShardedWcopCt(*reader, run);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->resumed_shards, first->partition.shards.size());
+  ExpectDatasetsIdentical(first->merged.sanitized, resumed->merged.sanitized);
+  EXPECT_EQ(first->merged.report.ttd, resumed->merged.report.ttd);
+  EXPECT_EQ(first->merged.trashed_ids, resumed->merged.trashed_ids);
+}
+
+TEST_F(CheckpointTest, MalformedNumbersAreRejectedNotMisread) {
+  pipeline::WindowManifest m;
+  m.window_start = 0.5;
+  std::string manifest = pipeline::EncodeWindowManifest(m);
+  const size_t at = manifest.find(" 0.5 ");
+  ASSERT_NE(at, std::string::npos);
+  for (const char* bad : {"0.5x", "1e", "+0.5", "0x1p-1"}) {
+    std::string damaged = manifest;
+    damaged.replace(at + 1, 3, bad);
+    EXPECT_EQ(pipeline::DecodeWindowManifest(damaged).status().code(),
+              StatusCode::kDataLoss)
+        << bad;
+  }
+
+  // A job record wraps the field's ParseError as kDataLoss; a submitted
+  // spec reports the ParseError itself.
+  server::JobRecord record;
+  record.id = 1;
+  const std::string text = server::EncodeJobRecord(record);
+  const std::string spec = server::EncodeJobSpec(record.spec);
+  for (const std::string& bad :
+       {std::string("1.5x"), std::string("1e"), std::string(""),
+        std::string("+1"), std::string(40, '7')}) {
+    EXPECT_EQ(server::DecodeJobRecord(text + "total_distortion " + bad + "\n")
+                  .status()
+                  .code(),
+              StatusCode::kDataLoss)
+        << bad;
+    EXPECT_EQ(server::DecodeJobSpec(spec + "overlap_margin " + bad + "\n")
+                  .status()
+                  .code(),
+              StatusCode::kParseError)
+        << bad;
+  }
+
+  StreamingCheckpoint streaming;
+  streaming.total_ttd = 0.5;
+  const std::string payload = EncodeStreamingCheckpoint(streaming);
+  const size_t ttd_at = payload.find(" 0.5 ");
+  ASSERT_NE(ttd_at, std::string::npos);
+  std::string damaged = payload;
+  damaged.replace(ttd_at + 1, 3, "0.5x");
+  // Keep the byte count honest so only the number is wrong.
+  damaged = LegacyCheckpointPayload(
+      damaged.substr(0, damaged.size() - 25) + "end 00000000000000000000\n");
+  EXPECT_EQ(DecodeStreamingCheckpoint(damaged).status().code(),
+            StatusCode::kDataLoss);
 }
 
 }  // namespace

@@ -73,7 +73,7 @@ JobRecord FullRecord() {
   record.spec.assign_k = 5;
   record.spec.assign_delta = 217.625;  // dyadic: exact in binary
   record.spec.shards = 4;
-  record.spec.overlap_margin = 0.1;  // non-dyadic: %.17g must round-trip
+  record.spec.overlap_margin = 0.1;  // non-dyadic: must round-trip exactly
   record.spec.deadline_ms = 60000;
   record.spec.max_distance_computations = 1234567;
   record.spec.allow_partial = true;

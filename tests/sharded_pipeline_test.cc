@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -31,6 +33,12 @@ std::string TempDirFor(const std::string& name) {
 
 std::string TempPath(const std::string& name) {
   return (std::filesystem::temp_directory_path() / name).string();
+}
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 // Four far-apart synthetic cities: the input shape the partitioner can
@@ -114,7 +122,6 @@ TEST(ShardedPipelineTest, SingleShardIsByteIdenticalToMonolithic) {
   ShardRunOptions run;
   run.wcop = wcop;
   run.partition.num_shards = 1;
-  run.shard_dir = TempDirFor("shard_single.shards");
   Result<ShardedRunResult> sharded = RunShardedWcopCt(*reader, run);
   ASSERT_TRUE(sharded.ok()) << sharded.status();
 
@@ -145,7 +152,6 @@ TEST(ShardedPipelineTest, MultiShardRunsVerifierCleanAndComplete) {
   ShardRunOptions run;
   run.wcop.seed = 9;
   run.partition.num_shards = 4;
-  run.shard_dir = TempDirFor("shard_multi.shards");
   Result<ShardedRunResult> r = RunShardedWcopCt(*reader, run);
   ASSERT_TRUE(r.ok()) << r.status();
 
@@ -190,7 +196,6 @@ TEST(ShardedPipelineTest, ProgressCallbackIsMonotoneAndComplete) {
   run.wcop.seed = 9;
   run.wcop.run_context = &ctx;
   run.partition.num_shards = 4;
-  run.shard_dir = TempDirFor("shard_progress.shards");
   std::vector<ShardProgress> updates;
   run.progress = [&updates](const ShardProgress& p) {
     updates.push_back(p);
@@ -233,7 +238,6 @@ TEST(ShardedPipelineTest, ShardSpansMergeIntoParentTelemetry) {
   run.wcop.run_context = &ctx;
   run.wcop.telemetry = &tel;
   run.partition.num_shards = 4;
-  run.shard_dir = TempDirFor("shard_spans.shards");
   Result<ShardedRunResult> r = RunShardedWcopCt(*reader, run);
   ASSERT_TRUE(r.ok()) << r.status();
   ASSERT_GT(r->partition.shards.size(), 1u);
@@ -267,13 +271,11 @@ TEST(ShardedPipelineTest, DeterministicAcrossThreadCounts) {
   serial.wcop.seed = 9;
   serial.wcop.threads = 1;
   serial.partition.num_shards = 4;
-  serial.shard_dir = TempDirFor("shard_threads1.shards");
   Result<ShardedRunResult> a = RunShardedWcopCt(*reader, serial);
   ASSERT_TRUE(a.ok()) << a.status();
 
   ShardRunOptions threaded = serial;
   threaded.wcop.threads = 4;
-  threaded.shard_dir = TempDirFor("shard_threads4.shards");
   Result<ShardedRunResult> b = RunShardedWcopCt(*reader, threaded);
   ASSERT_TRUE(b.ok()) << b.status();
 
@@ -281,14 +283,23 @@ TEST(ShardedPipelineTest, DeterministicAcrossThreadCounts) {
   ExpectReportsEqualMinusTimings(a->merged.report, b->merged.report);
   EXPECT_EQ(a->merged.trashed_ids, b->merged.trashed_ids);
 
-  // Shard-level parallelism must not change the output either.
+  // Shard-level parallelism must not change the output either: concurrent
+  // shards read through the one shared reader, and the published store
+  // bytes are identical.
   ShardRunOptions shard_par = serial;
   shard_par.shard_parallelism = 3;
-  shard_par.shard_dir = TempDirFor("shard_threadsp.shards");
   Result<ShardedRunResult> c = RunShardedWcopCt(*reader, shard_par);
   ASSERT_TRUE(c.ok()) << c.status();
   ExpectDatasetsIdentical(a->merged.sanitized, c->merged.sanitized);
   ExpectReportsEqualMinusTimings(a->merged.report, c->merged.report);
+  EXPECT_EQ(a->merged.trashed_ids, c->merged.trashed_ids);
+  const std::string out_a = TempPath("shard_threads.a.wst");
+  const std::string out_c = TempPath("shard_threads.c.wst");
+  ASSERT_TRUE(WriteDatasetStore(a->merged.sanitized, out_a).ok());
+  ASSERT_TRUE(WriteDatasetStore(c->merged.sanitized, out_c).ok());
+  EXPECT_TRUE(FileBytes(out_a) == FileBytes(out_c));
+  std::filesystem::remove(out_a);
+  std::filesystem::remove(out_c);
   std::filesystem::remove(store_path);
 }
 
@@ -303,7 +314,6 @@ TEST(ShardedPipelineTest, CheckpointResumeSkipsCompletedShards) {
   ShardRunOptions run;
   run.wcop.seed = 9;
   run.partition.num_shards = 4;
-  run.shard_dir = TempDirFor("shard_ckpt.shards");
   run.checkpoint_dir = TempDirFor("shard_ckpt.ckpts");
   Result<ShardedRunResult> first = RunShardedWcopCt(*reader, run);
   ASSERT_TRUE(first.ok()) << first.status();
@@ -361,12 +371,10 @@ TEST(ShardedPipelineTest, StreamedOutputMatchesInMemoryMerge) {
   ShardRunOptions run;
   run.wcop.seed = 9;
   run.partition.num_shards = 4;
-  run.shard_dir = TempDirFor("shard_stream.shards");
   Result<ShardedRunResult> in_memory = RunShardedWcopCt(*reader, run);
   ASSERT_TRUE(in_memory.ok()) << in_memory.status();
 
   ShardRunOptions streamed = run;
-  streamed.shard_dir = TempDirFor("shard_stream2.shards");
   streamed.stream_output_store = TempPath("shard_stream.out.wst");
   Result<ShardedRunResult> r = RunShardedWcopCt(*reader, streamed);
   ASSERT_TRUE(r.ok()) << r.status();
@@ -391,6 +399,91 @@ TEST(ShardedPipelineTest, StreamedOutputMatchesInMemoryMerge) {
   std::filesystem::remove(streamed.stream_output_store);
 }
 
+// ---------------------------------------------------------------------------
+// Shards are views over the source store, not copies.
+// ---------------------------------------------------------------------------
+
+std::set<std::string> ListTree(const std::string& dir) {
+  std::set<std::string> names;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    names.insert(std::filesystem::relative(entry.path(), dir).string());
+  }
+  return names;
+}
+
+TEST(ShardedPipelineTest, RunWritesOnlyCheckpointsAndStreamedOutput) {
+  const std::string dir = TempDirFor("shard_views");
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(WriteDatasetStore(TiledDataset(), dir + "/source.wst").ok());
+  Result<TrajectoryStoreReader> reader =
+      TrajectoryStoreReader::Open(dir + "/source.wst");
+  ASSERT_TRUE(reader.ok()) << reader.status();
+
+  ShardRunOptions run;
+  run.wcop.seed = 9;
+  run.partition.num_shards = 4;
+  run.checkpoint_dir = dir + "/ckpt";
+  run.stream_output_store = dir + "/published.wst";
+  // Everything on disk while shards are running, sampled after each one.
+  std::set<std::string> seen_mid_run;
+  run.progress = [&](const ShardProgress&) {
+    const std::set<std::string> now = ListTree(dir);
+    seen_mid_run.insert(now.begin(), now.end());
+  };
+  Result<ShardedRunResult> r = RunShardedWcopCt(*reader, run);
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_GT(r->partition.shards.size(), 1u);
+
+  std::set<std::string> expected = {"source.wst", "ckpt", "published.wst"};
+  for (const ShardSpec& shard : r->partition.shards) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "ckpt/shard_%05zu.ckpt",
+                  shard.shard_index);
+    expected.insert(name);
+  }
+  EXPECT_EQ(ListTree(dir), expected);
+  for (const std::string& name : seen_mid_run) {
+    EXPECT_EQ(expected.count(name), 1u) << "stray file mid-run: " << name;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ShardedPipelineTest, BitFlipInOneShardBlockFailsWithDataLoss) {
+  const std::string path = TempPath("shard_flip.wst");
+  ASSERT_TRUE(WriteDatasetStore(TiledDataset(), path).ok());
+  Result<TrajectoryStoreReader> clean = TrajectoryStoreReader::Open(path);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  PartitionOptions partition;
+  partition.num_shards = 4;
+  Result<Partition> shards = PartitionStoreIndex(clean->index(), partition);
+  ASSERT_TRUE(shards.ok()) << shards.status();
+  ASSERT_GT(shards->shards.size(), 1u);
+  // Damage a block of the last shard, so earlier shards run cleanly first.
+  const size_t victim = shards->shards.back().members.back();
+  const StoreEntry entry = clean->index()[victim];
+  std::string bytes = FileBytes(path);
+  bytes[entry.offset + entry.block_size / 2] ^= 0x10;
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << bytes;
+  }
+  Result<TrajectoryStoreReader> reader = TrajectoryStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();  // the index is intact
+
+  for (const int parallelism : {1, 3}) {
+    ShardRunOptions run;
+    run.wcop.seed = 9;
+    run.partition = partition;
+    run.shard_parallelism = parallelism;
+    Result<ShardedRunResult> r = RunShardedWcopCt(*reader, run);
+    ASSERT_FALSE(r.ok()) << "parallelism " << parallelism;
+    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss)
+        << "parallelism " << parallelism << ": " << r.status();
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(ShardedPipelineTest, MergeReportSumsAndRecomputesAverages) {
   AnonymizationReport a;
   a.input_trajectories = 10;
@@ -410,7 +503,40 @@ TEST(ShardedPipelineTest, MergeReportSumsAndRecomputesAverages) {
   b.clustering_rounds = 2;
   b.degraded = true;
   b.degraded_reason = "budget";
+  // Metrics: counters summed, gauges maxed, histograms merged exactly in
+  // count/sum/min/max and count-weighted in the percentiles; every section
+  // comes back sorted by name whatever the input order.
+  a.metrics.counters = {{"z.calls", 5}, {"a.calls", 1}};
+  a.metrics.gauges = {{"g.peak", 2.0}};
+  telemetry::HistogramSummary ha;
+  ha.name = "h.ns";
+  ha.count = 1;
+  ha.sum = 10;
+  ha.min = ha.max = 10;
+  ha.p50 = ha.p90 = ha.p99 = 10.0;
+  a.metrics.histograms = {ha};
+  b.metrics.counters = {{"a.calls", 2}, {"m.calls", 7}};
+  b.metrics.gauges = {{"g.peak", 9.0}, {"b.level", 1.0}};
+  telemetry::HistogramSummary hb = ha;
+  hb.count = 3;
+  hb.sum = 90;
+  hb.min = hb.max = 30;
+  hb.p50 = hb.p90 = hb.p99 = 30.0;
+  b.metrics.histograms = {hb};
   MergeReportInto(&a, b);
+  using Counters = std::vector<std::pair<std::string, uint64_t>>;
+  using Gauges = std::vector<std::pair<std::string, double>>;
+  EXPECT_EQ(a.metrics.counters,
+            (Counters{{"a.calls", 3}, {"m.calls", 7}, {"z.calls", 5}}));
+  EXPECT_EQ(a.metrics.gauges, (Gauges{{"b.level", 1.0}, {"g.peak", 9.0}}));
+  ASSERT_EQ(a.metrics.histograms.size(), 1u);
+  const telemetry::HistogramSummary& h = a.metrics.histograms[0];
+  EXPECT_EQ(h.count, 4u);
+  EXPECT_EQ(h.sum, 100u);
+  EXPECT_EQ(h.min, 10u);
+  EXPECT_EQ(h.max, 30u);
+  EXPECT_DOUBLE_EQ(h.mean, 25.0);
+  EXPECT_DOUBLE_EQ(h.p50, 25.0);
   EXPECT_EQ(a.input_trajectories, 16u);
   EXPECT_EQ(a.num_clusters, 5u);
   EXPECT_EQ(a.trashed_trajectories, 2u);

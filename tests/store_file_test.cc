@@ -3,15 +3,20 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/number_codec.h"
 #include "data/store_convert.h"
 #include "test_util.h"
 #include "traj/io.h"
@@ -45,7 +50,7 @@ void ExpectBitExact(const Trajectory& a, const Trajectory& b) {
   EXPECT_EQ(a.object_id(), b.object_id());
   EXPECT_EQ(a.parent_id(), b.parent_id());
   EXPECT_EQ(a.requirement().k, b.requirement().k);
-  // Bitwise equality throughout: the %.17g text round-trip must be lossless.
+  // Bitwise equality throughout: the text round-trip must be lossless.
   EXPECT_EQ(a.requirement().delta, b.requirement().delta);
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
@@ -273,6 +278,175 @@ TEST(StoreFileTest, EmptyAndMissingFiles) {
             StatusCode::kDataLoss);
   std::filesystem::remove(path);
   EXPECT_FALSE(TrajectoryStoreReader::Open(path).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Number codec: shortest round-trip text, legacy %.17g compatibility, and
+// malformed tokens.
+// ---------------------------------------------------------------------------
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+std::string Legacy17g(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  return buf;
+}
+
+// Doubles whose text form is easy to get wrong: signed zero, the smallest
+// subnormal, the extremes, non-dyadic decimals, integers past 2^53.
+std::vector<double> AwkwardDoubles() {
+  return {-0.0,
+          0.0,
+          std::numeric_limits<double>::denorm_min(),
+          -std::numeric_limits<double>::denorm_min(),
+          std::numeric_limits<double>::min(),
+          std::numeric_limits<double>::max(),
+          -std::numeric_limits<double>::max(),
+          0.1,
+          1e22,
+          9007199254740993.0,  // 2^53 + 1, rounds to 2^53
+          std::nextafter(9007199254740992.0, 1e300),  // 2^53 + 2
+          -1e300,
+          -123456789.123456789,
+          -4.0e15 - 0.5,
+          1.0 / 3.0};
+}
+
+TEST(StoreFileTest, NumberCodecRoundTripIsBitwise) {
+  for (const double v : AwkwardDoubles()) {
+    std::string text;
+    codec::AppendDouble(&text, v);
+    const std::optional<double> back = codec::ParseDouble(text);
+    ASSERT_TRUE(back.has_value()) << text;
+    EXPECT_EQ(Bits(*back), Bits(v)) << text;
+    // The legacy spelling reads back to the same bits.
+    const std::optional<double> legacy = codec::ParseDouble(Legacy17g(v));
+    ASSERT_TRUE(legacy.has_value()) << Legacy17g(v);
+    EXPECT_EQ(Bits(*legacy), Bits(v)) << Legacy17g(v);
+    EXPECT_LE(text.size(), Legacy17g(v).size()) << "not the shortest: " << text;
+  }
+  for (const int64_t v : {int64_t{0}, int64_t{-1},
+                          std::numeric_limits<int64_t>::min(),
+                          std::numeric_limits<int64_t>::max(),
+                          int64_t{9007199254740993}}) {
+    std::string text;
+    codec::AppendInt(&text, v);
+    EXPECT_EQ(codec::ParseInt(text), std::optional<int64_t>(v)) << text;
+  }
+  std::string max_u64;
+  codec::AppendUint(&max_u64, std::numeric_limits<uint64_t>::max());
+  EXPECT_EQ(max_u64, "18446744073709551615");
+  EXPECT_EQ(codec::ParseUint(max_u64),
+            std::optional<uint64_t>(std::numeric_limits<uint64_t>::max()));
+  // Non-finite values round-trip too (they can only appear in metric
+  // payloads; trajectories reject them at Validate()).
+  for (const double v : {std::numeric_limits<double>::infinity(),
+                         -std::numeric_limits<double>::infinity()}) {
+    std::string text;
+    codec::AppendDouble(&text, v);
+    EXPECT_EQ(codec::ParseDouble(text), std::optional<double>(v)) << text;
+  }
+  std::string nan_text;
+  codec::AppendDouble(&nan_text, std::numeric_limits<double>::quiet_NaN());
+  ASSERT_TRUE(codec::ParseDouble(nan_text).has_value());
+  EXPECT_TRUE(std::isnan(*codec::ParseDouble(nan_text)));
+}
+
+TEST(StoreFileTest, AwkwardCoordinatesSurviveTheStoreBitwise) {
+  std::vector<Point> points;
+  double t = -1e300;
+  for (const double v : AwkwardDoubles()) {
+    points.push_back(Point{v, -v, t});
+    t = t < 0 ? 0.1 : t * 7.0 + 1.0;
+  }
+  Trajectory awkward(-9007199254740993LL, std::move(points),
+                     Requirement{3, std::numeric_limits<double>::denorm_min()});
+  awkward.set_object_id(std::numeric_limits<int64_t>::min());
+  awkward.set_parent_id(-1);
+  Dataset dataset;
+  dataset.Add(awkward);
+  const std::string path = TempPath("store_awkward.wst");
+  ASSERT_TRUE(WriteDatasetStore(dataset, path).ok());
+  Result<TrajectoryStoreReader> reader = TrajectoryStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  Result<Trajectory> back = reader->Read(0);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ExpectBitExact(awkward, *back);
+  for (size_t i = 0; i < awkward.size(); ++i) {
+    // EXPECT_EQ(-0.0, 0.0) holds; the sign bit must survive too.
+    EXPECT_EQ(Bits(back->points()[i].x), Bits(awkward.points()[i].x)) << i;
+  }
+  std::filesystem::remove(path);
+}
+
+// A block payload in the pre-upgrade printf("%.17g") spelling, written by
+// hand: the current parser must read it to the same bits, so stores written
+// by older builds stay readable without a format-version bump.
+TEST(StoreFileTest, LegacyPercent17gPayloadParsesToTheSameBits) {
+  const Dataset dataset = SmallSynthetic(3, 12);
+  for (const Trajectory& t : dataset.trajectories()) {
+    std::string legacy = "traj " + std::to_string(t.id()) + " " +
+                         std::to_string(t.object_id()) + " " +
+                         std::to_string(t.parent_id()) + " " +
+                         std::to_string(t.requirement().k) + " " +
+                         Legacy17g(t.requirement().delta) + " " +
+                         std::to_string(t.size()) + "\n";
+    for (const Point& p : t.points()) {
+      legacy += Legacy17g(p.x) + " " + Legacy17g(p.y) + " " + Legacy17g(p.t) +
+                "\n";
+    }
+    std::string current;
+    AppendTrajectoryRecord(&current, t);
+    EXPECT_NE(legacy, current) << "the two spellings should differ somewhere";
+    EXPECT_LT(current.size(), legacy.size());
+    size_t pos = 0;
+    Result<Trajectory> back = ParseTrajectoryRecord(legacy, &pos);
+    ASSERT_TRUE(back.ok()) << back.status();
+    EXPECT_EQ(pos, legacy.size() - 1);  // just past the last token
+    ExpectBitExact(t, *back);
+  }
+}
+
+TEST(StoreFileTest, MalformedNumberTokensAreDataLossNeverACoordinate) {
+  const std::string head = "traj 1 1 -1 2 50 2\n0 0 0\n";
+  const std::string oversized = "1" + std::string(40, '0');
+  // The second point's x coordinate is replaced by each bad token. A
+  // leading '+' and hex floats are rejected on purpose (see
+  // common/number_codec.h); no writer ever produced them.
+  for (const std::string& bad : {std::string("1.5x"), std::string("1e"),
+                                 std::string("--1"), std::string("1..5"),
+                                 std::string("+1"), std::string("0x1p3"),
+                                 std::string("1e400"), oversized}) {
+    const std::string payload = head + bad + " 5 1\n";
+    size_t pos = 0;
+    Result<Trajectory> t = ParseTrajectoryRecord(payload, &pos);
+    ASSERT_FALSE(t.ok()) << "accepted '" << bad << "'";
+    EXPECT_EQ(t.status().code(), StatusCode::kDataLoss) << bad;
+    EXPECT_FALSE(codec::ParseDouble(bad).has_value()) << bad;
+  }
+  // An empty token: the payload ends where the coordinate should be.
+  size_t pos = 0;
+  EXPECT_EQ(ParseTrajectoryRecord(head + "3 5", &pos).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_FALSE(codec::ParseDouble("").has_value());
+  // Integer fields are as strict: fractional, signed-unsigned, overflow.
+  for (const char* bad : {"2.0", "1e3", "99999999999999999999", "+1"}) {
+    const std::string payload =
+        std::string("traj ") + bad + " 1 -1 2 50 1\n0 0 0\n";
+    pos = 0;
+    EXPECT_EQ(ParseTrajectoryRecord(payload, &pos).status().code(),
+              StatusCode::kDataLoss)
+        << bad;
+  }
+  EXPECT_FALSE(codec::ParseUint("-1").has_value());
+  // The well-formed control parses.
+  pos = 0;
+  EXPECT_TRUE(ParseTrajectoryRecord(head + "3 5 1\n", &pos).ok());
 }
 
 // ---------------------------------------------------------------------------
