@@ -9,6 +9,9 @@
 //     accounting — are identical at every thread count.
 //
 // A violation exits non-zero, so the bench doubles as a determinism gate.
+// WCOP-CT's clustering loop is serial, so the thread sweep measures the
+// per-cluster translation fan-out only; clustering time is the same at
+// every thread count.
 // Speedups are reported against the measured --threads=1 run; on machines
 // with fewer cores than the sweep's thread counts the extra threads cannot
 // help, which is why the json record carries `hardware_concurrency`.

@@ -111,13 +111,7 @@ int main(int argc, char** argv) {
         "                checkpoint is flushed so re-running resumes\n"
         "              [--synthetic-tiles=T --tile-spacing=200000]  "
         "(synthetic input\n"
-        "                as T independent far-apart cities)\n"
-        "              [--distance-cascade=true|false]  (filter-and-refine "
-        "EDR\n"
-        "                lower-bound cascade; false = legacy exhaustive "
-        "scan,\n"
-        "                byte-identical output; WCOP_DISTANCE_CASCADE env "
-        "too)");
+        "                as T independent far-apart cities)");
     return 0;
   }
   if (!log::ConfigureFromArgs(args, "anonymize_csv")) {
@@ -204,7 +198,6 @@ int main(int argc, char** argv) {
   }
   options.run_context = &run_context;
   options.allow_partial_results = args.GetBool("allow-partial", false);
-  options.distance.cascade = args.GetBool("distance-cascade", true);
 
   const int shards = static_cast<int>(args.GetInt("shards", 0));
   bool per_shard_audit = false;

@@ -26,7 +26,7 @@ struct WorkingCluster {
 };
 
 size_t ElectMedoid(const std::vector<size_t>& members,
-                   ShardedPairDistanceCache* distances) {
+                   PairDistanceCache* distances) {
   if (members.size() <= 2) {
     return members.front();
   }
@@ -75,12 +75,11 @@ Result<ClusteringOutcome> AgglomerativeClustering(const Dataset& dataset,
     cluster_size = tel->metrics().GetHistogram("cluster.size");
   }
   // Agglomerative merging eventually touches most pairs; reserving the
-  // full triangle up front keeps the hot loop free of rehashes. The sharded
-  // cache replaces the old private memo, bringing the same lower-bound
-  // cascade (analytic separation/envelope exacts, cutoff-certified bounds)
-  // to the medoid partner search.
-  ShardedPairDistanceCache distances(dataset, options.distance, context, tel,
-                                     n * (n - 1) / 2);
+  // full triangle up front keeps the hot loop free of rehashes. The shared
+  // pair cache brings the lower-bound cascade (analytic separation/envelope
+  // exacts, cutoff-certified bounds) to the medoid partner search.
+  PairDistanceCache distances(dataset, options.distance, context, tel,
+                              n * (n - 1) / 2);
   const bool cascade = distances.cascade_active();
   double radius_max = options.radius_max;
 

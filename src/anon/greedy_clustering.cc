@@ -7,7 +7,6 @@
 
 #include "anon/distance_cache.h"
 #include "common/failpoint.h"
-#include "common/parallel.h"
 #include "index/grid_index.h"
 
 namespace wcop {
@@ -168,8 +167,8 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
   // ever holds distinct pairs, so cap at the full pair count.
   const size_t expected_pairs =
       std::min(n * (n - 1) / 2, n * size_t{64});
-  ShardedPairDistanceCache distances(dataset, options.distance, context, tel,
-                                     expected_pairs);
+  PairDistanceCache distances(dataset, options.distance, context, tel,
+                              expected_pairs);
   // Filter-and-refine scaffolding (EDR cascade only — see DESIGN.md
   // "Distance engine: filter-and-refine"). MBR centers go into a uniform
   // grid sized to the maximum matching reach: two trajectories whose
@@ -224,12 +223,10 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
   std::vector<size_t> reach;
   std::vector<char> in_reach(cascade ? n : 0, 0);
   std::vector<size_t> near_candidates;
-  std::vector<size_t> candidates;
-  std::vector<ShardedPairDistanceCache::ProbeResult> probe_results;
   struct RefineEntry {
     double bound;
     size_t index;
-    ShardedPairDistanceCache::BoundRung rung;
+    PairDistanceCache::BoundRung rung;
   };
   std::vector<RefineEntry> refine;
   std::vector<std::pair<double, size_t>> pool;
@@ -237,15 +234,8 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
   TopKThreshold threshold;
   ActiveRanks active_ranks;
   UnclusteredSkip unclustered;
-  // Pure distance evaluations fan out over the pool; every ordering and
-  // tie-breaking decision below stays on this thread, so the outcome is
-  // identical for any thread count (see DESIGN.md "Parallel execution").
-  // Budget charges happen inside the cache; trips are observed at the same
-  // per-cluster-attempt checks as the serial path, never mid-batch.
-  parallel::ParallelOptions par;
-  par.threads = options.threads;
-  par.grain = 1;  // one EDR evaluation is orders of magnitude above overhead
-  par.telemetry = tel;
+  // Budget charges happen inside the cache; trips are observed at the
+  // per-cluster-attempt checks below.
   Rng rng(options.seed);
   double radius_max = options.radius_max;
 
@@ -271,8 +261,6 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
 
     // --- Phase 1: pivot selection and cluster growth (lines 3-19). ---
     std::vector<size_t> chosen_pivots;
-    std::vector<size_t> active_list;
-    std::vector<double> scratch_values;
     while (active_ranks.count() > 0) {
       // Cooperative yield point: one check per cluster attempt.
       if (Status s = CheckRunContext(context); !s.ok()) {
@@ -289,39 +277,24 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
       size_t pivot;
       if (options.pivot_policy == WcopOptions::PivotPolicy::kFarthestFirst &&
           !chosen_pivots.empty()) {
-        // Batch the candidate scores (pure, exact distances); the argmax
-        // with its first-wins tie-break runs serially below. The scan
-        // already costs |active| x |pivots| distances, so listing the
-        // active indices here adds nothing asymptotic.
-        active_list.clear();
+        // Argmax over the active indices of the exact distance to the
+        // nearest chosen pivot; the first maximum wins ties (every active
+        // index is unclustered, and scores are >= 0 > the initial best).
+        WCOP_TRACE_SPAN(tel, "cluster/farthest_scan");
+        pivot = n;
+        double best_score = -1.0;
         for (size_t c = unclustered.Next(0); c < n;
              c = unclustered.Next(c + 1)) {
-          if (active[c]) {
-            active_list.push_back(c);
+          if (!active[c]) {
+            continue;
           }
-        }
-        scratch_values.assign(active_list.size(), 0.0);
-        WCOP_TRACE_SPAN(tel, "cluster/farthest_scan");
-        Status batch = parallel::ParallelFor(
-            active_list.size(),
-            [&](size_t t) {
-              double nearest_pivot = std::numeric_limits<double>::infinity();
-              for (size_t p : chosen_pivots) {
-                nearest_pivot =
-                    std::min(nearest_pivot, distances.Get(p, active_list[t]));
-              }
-              scratch_values[t] = nearest_pivot;
-            },
-            par);
-        if (!batch.ok()) {
-          return batch;
-        }
-        pivot = active_list[0];
-        double best_score = -1.0;
-        for (size_t t = 0; t < active_list.size(); ++t) {
-          if (scratch_values[t] > best_score) {
-            best_score = scratch_values[t];
-            pivot = active_list[t];
+          double nearest_pivot = std::numeric_limits<double>::infinity();
+          for (size_t p : chosen_pivots) {
+            nearest_pivot = std::min(nearest_pivot, distances.Get(p, c));
+          }
+          if (nearest_pivot > best_score) {
+            best_score = nearest_pivot;
+            pivot = c;
           }
         }
       } else {
@@ -354,27 +327,12 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
       pool.clear();
       size_t implicit = 0;
       if (!cascade) {
-        candidates.clear();
+        WCOP_TRACE_SPAN(tel, "cluster/pivot_scan");
         for (size_t c = unclustered.Next(0); c < n;
              c = unclustered.Next(c + 1)) {
           if (c != pivot) {
-            candidates.push_back(c);
+            pool.emplace_back(distances.Get(pivot, c), c);
           }
-        }
-        scratch_values.assign(candidates.size(), 0.0);
-        WCOP_TRACE_SPAN(tel, "cluster/pivot_scan");
-        Status batch = parallel::ParallelFor(
-            candidates.size(),
-            [&](size_t t) {
-              scratch_values[t] =
-                  distances.GetWithCutoff(pivot, candidates[t], radius_max);
-            },
-            par);
-        if (!batch.ok()) {
-          return batch;
-        }
-        for (size_t t = 0; t < candidates.size(); ++t) {
-          pool.emplace_back(scratch_values[t], candidates[t]);
         }
       } else {
         WCOP_TRACE_SPAN(tel, "cluster/pivot_scan");
@@ -406,30 +364,16 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
         for (size_t t = 0; t < std::min(implicit, top_needed); ++t) {
           threshold.Push(options.distance.edr_scale);
         }
-        // Cheap bound probes (cache / length / envelope) fan out in
-        // parallel; classification and every ordering decision stay on
-        // this thread.
-        probe_results.assign(near_candidates.size(),
-                             ShardedPairDistanceCache::ProbeResult{});
-        Status batch = parallel::ParallelFor(
-            near_candidates.size(),
-            [&](size_t t) {
-              probe_results[t] = distances.CheapProbe(pivot,
-                                                      near_candidates[t]);
-            },
-            par);
-        if (!batch.ok()) {
-          return batch;
-        }
+        // Cheap bound probes (cache / length / envelope): exact values go
+        // straight into the pool, bounds queue up for refinement.
         refine.clear();
-        for (size_t t = 0; t < near_candidates.size(); ++t) {
-          const auto& probe = probe_results[t];
+        for (size_t c : near_candidates) {
+          const auto probe = distances.CheapProbe(pivot, c);
           if (probe.exact) {
-            pool.emplace_back(probe.value, near_candidates[t]);
+            pool.emplace_back(probe.value, c);
             threshold.Push(probe.value);
           } else {
-            refine.push_back(
-                RefineEntry{probe.value, near_candidates[t], probe.rung});
+            refine.push_back(RefineEntry{probe.value, c, probe.rung});
           }
         }
         std::sort(refine.begin(), refine.end(),
@@ -437,11 +381,11 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
                     return a.bound != b.bound ? a.bound < b.bound
                                               : a.index < b.index;
                   });
-        // Cheapest-first refinement in growing block-synchronous batches:
-        // the cutoff (best-so-far top-K threshold, capped by radius_max) is
-        // frozen per block and tightened only between blocks, so the set of
-        // pairs that reach the DP — and every counter event — is identical
-        // for every thread count. A candidate pruned here has top_needed
+        // Cheapest-first refinement in growing blocks: the cutoff
+        // (best-so-far top-K threshold, capped by radius_max) is frozen per
+        // block and tightened only between blocks. The block schedule fixes
+        // which pairs reach the DP and at what band, so it pins every
+        // distance.* counter. A candidate pruned here has top_needed
         // exactly-known candidates strictly ahead of it (or is outside the
         // acceptance radius), so the exact distance could not have changed
         // any decision; its certified bound enters the pool instead.
@@ -463,21 +407,12 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
           while (split > pos && refine[split - 1].bound > cutoff) {
             --split;
           }
-          scratch_values.assign(split - pos, 0.0);
-          batch = parallel::ParallelFor(
-              split - pos,
-              [&](size_t t) {
-                scratch_values[t] = distances.GetWithCutoff(
-                    pivot, refine[pos + t].index, cutoff);
-              },
-              par);
-          if (!batch.ok()) {
-            return batch;
-          }
-          for (size_t t = 0; t < split - pos; ++t) {
-            pool.emplace_back(scratch_values[t], refine[pos + t].index);
-            if (scratch_values[t] <= cutoff) {
-              threshold.Push(scratch_values[t]);
+          for (size_t t = pos; t < split; ++t) {
+            const double d =
+                distances.GetWithCutoff(pivot, refine[t].index, cutoff);
+            pool.emplace_back(d, refine[t].index);
+            if (d <= cutoff) {
+              threshold.Push(d);
             }
           }
           pos = split;
@@ -571,7 +506,6 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
 
     // --- Phase 2: leftover assignment (lines 20-26). ---
     std::vector<size_t> trash;
-    std::vector<size_t> eligible;
     for (size_t idx = 0; idx < n; ++idx) {
       if (clustered[idx]) {
         continue;
@@ -593,65 +527,38 @@ Result<ClusteringOutcome> GreedyClustering(const Dataset& dataset,
         continue;
       }
       const Requirement& req = dataset[idx].requirement();
-      // Eligibility (cheap, metadata-only) on the coordinator; the eligible
-      // pivot distances are batched. The nearest-compatible selection keeps
-      // the serial first-wins tie-break over the cluster order.
-      eligible.clear();
-      for (size_t c = 0; c < clusters.size(); ++c) {
-        const AnonymityCluster& cluster = clusters[c];
-        // Eligibility: the cluster (including tau itself) satisfies tau's k,
-        // and tau's delta tolerance is no stricter than the cluster's delta.
-        if (cluster.members.size() + 1 < static_cast<size_t>(req.k)) {
-          continue;
-        }
-        if (cluster.delta > req.delta) {
-          continue;
-        }
-        eligible.push_back(c);
-      }
+      // Nearest compatible cluster pivot, first-wins over the cluster
+      // order. Under the cascade the running best tightens the cutoff, and
+      // a probe bound above it certifies the cluster cannot win (the
+      // selection takes strictly smaller distances, so ties keep the first
+      // cluster exactly as an exhaustive scan does).
       double best_dist = std::numeric_limits<double>::infinity();
       AnonymityCluster* best_cluster = nullptr;
-      if (!cascade) {
-        scratch_values.assign(eligible.size(), 0.0);
-        Status batch = parallel::ParallelFor(
-            eligible.size(),
-            [&](size_t t) {
-              scratch_values[t] = distances.GetWithCutoff(
-                  clusters[eligible[t]].pivot, idx, radius_max);
-            },
-            par);
-        if (!batch.ok()) {
-          return batch;
+      for (AnonymityCluster& cluster : clusters) {
+        // Eligibility: the cluster (including tau itself) satisfies tau's k,
+        // and tau's delta tolerance is no stricter than the cluster's delta.
+        if (cluster.members.size() + 1 < static_cast<size_t>(req.k) ||
+            cluster.delta > req.delta) {
+          continue;
         }
-        for (size_t t = 0; t < eligible.size(); ++t) {
-          const double d = scratch_values[t];
-          if (d <= radius_max && d < best_dist) {
-            best_dist = d;
-            best_cluster = &clusters[eligible[t]];
-          }
-        }
-      } else {
-        // Serial best-so-far scan in cluster order: the running best
-        // tightens the cutoff, and a probe bound above it certifies the
-        // cluster cannot win (the selection takes strictly smaller
-        // distances, so ties keep the first cluster exactly as the
-        // exhaustive scan does).
-        for (size_t c : eligible) {
+        double d;
+        if (!cascade) {
+          d = distances.Get(cluster.pivot, idx);
+        } else {
           const double cutoff = std::min(radius_max, best_dist);
-          const auto probe = distances.CheapProbe(clusters[c].pivot, idx);
-          double d;
+          const auto probe = distances.CheapProbe(cluster.pivot, idx);
           if (probe.exact) {
             d = probe.value;
           } else if (probe.value > cutoff) {
             distances.CountBoundPrune(probe.rung);
             continue;
           } else {
-            d = distances.GetWithCutoff(clusters[c].pivot, idx, cutoff);
+            d = distances.GetWithCutoff(cluster.pivot, idx, cutoff);
           }
-          if (d <= radius_max && d < best_dist) {
-            best_dist = d;
-            best_cluster = &clusters[c];
-          }
+        }
+        if (d <= radius_max && d < best_dist) {
+          best_dist = d;
+          best_cluster = &cluster;
         }
       }
       if (best_cluster != nullptr) {

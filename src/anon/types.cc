@@ -15,20 +15,6 @@ double ClusterDistance(const Trajectory& a, const Trajectory& b,
   return 0.0;
 }
 
-double ClusterDistanceWithCutoff(const Trajectory& a, const Trajectory& b,
-                                 const DistanceConfig& config, double cutoff,
-                                 bool* abandoned) {
-  if (config.kind == DistanceConfig::Kind::kEdr && config.edr_scale > 0.0) {
-    const double d = NormalizedEdrDistance(
-        a, b, config.tolerance, cutoff / config.edr_scale, abandoned);
-    return d * config.edr_scale;
-  }
-  if (abandoned != nullptr) {
-    *abandoned = false;
-  }
-  return ClusterDistance(a, b, config);
-}
-
 const char* DistanceCallCounterName(const DistanceConfig& config) {
   switch (config.kind) {
     case DistanceConfig::Kind::kEdr:

@@ -21,7 +21,9 @@ namespace wcop {
 /// Algorithm 3 we use *normalized* EDR (ops / max length, in [0,1]) scaled
 /// by `edr_scale` — the drivers default that scale to radius(D), giving
 /// "fraction of the dataset radius" semantics: identical trajectories are at
-/// distance 0, completely unalignable ones at radius(D).
+/// distance 0, completely unalignable ones at radius(D). EDR with a positive
+/// scale is what switches the clustering loops onto the lower-bound cascade
+/// (DESIGN.md "Distance engine: filter-and-refine").
 struct DistanceConfig {
   enum class Kind { kEdr, kSynchronizedEuclidean };
 
@@ -29,33 +31,11 @@ struct DistanceConfig {
   EdrTolerance tolerance;   ///< EDR matching tolerance (kEdr only)
   double edr_scale = 0.0;   ///< multiplies normalized EDR (kEdr only);
                             ///< <= 0 means "auto": drivers use radius(D)
-
-  /// Filter-and-refine kill-switch (kEdr only). When true (the default)
-  /// the clustering hot path runs the lower-bound cascade (length,
-  /// MBR/tolerance separation, envelope), grid pre-filtering, and banded
-  /// DP evaluation under best-so-far cutoffs. Published output is
-  /// byte-identical either way — a bound only ever skips a pair whose
-  /// exact distance could not have changed any decision (see DESIGN.md
-  /// "Distance engine: filter-and-refine"); `false` forces the legacy
-  /// exhaustive scan. Drivers also honour the WCOP_DISTANCE_CASCADE
-  /// environment variable (0/off/false disables).
-  bool cascade = true;
 };
 
 /// Distance between two trajectories under `config` (see DistanceConfig).
 double ClusterDistance(const Trajectory& a, const Trajectory& b,
                        const DistanceConfig& config);
-
-/// ClusterDistance with an early-abandon cutoff (in the same scaled units
-/// as the return value): for EDR, when the length lower bound alone exceeds
-/// `cutoff`, returns that bound — a value > cutoff and <= the true distance
-/// — without running the DP, and sets *abandoned. Synchronized Euclidean
-/// has no cheap lower bound and always computes fully (*abandoned = false).
-/// Callers that only compare against `cutoff` get the same decision as a
-/// full computation.
-double ClusterDistanceWithCutoff(const Trajectory& a, const Trajectory& b,
-                                 const DistanceConfig& config, double cutoff,
-                                 bool* abandoned);
 
 /// Telemetry counter name for distance calls of the configured kind
 /// ("distance.calls.edr" / "distance.calls.sync_euclidean") — the
@@ -115,12 +95,13 @@ struct WcopOptions {
   enum class DeltaPolicy { kMin, kMean };
   DeltaPolicy delta_policy = DeltaPolicy::kMin;
 
-  /// Thread count for the parallel hot paths (pivot candidate scans,
-  /// per-cluster translation): <= 0 resolves to WCOP_THREADS or the
-  /// hardware concurrency, 1 is the exact serial code path, N fans pure
-  /// distance/translation computations over the process-wide pool. The
-  /// published output is byte-identical across thread counts — see
-  /// DESIGN.md "Parallel execution" for the determinism contract.
+  /// Thread count for the parallel phases: <= 0 resolves to WCOP_THREADS
+  /// or the hardware concurrency, 1 is the exact serial code path, N fans
+  /// pure per-item work over the process-wide pool. For WCOP-CT that is
+  /// the per-cluster translation only — both clustering loops are serial;
+  /// WCOP-SA also fans out its TRACLUS precompute. The published output is
+  /// byte-identical across thread counts — see DESIGN.md "Parallel
+  /// execution" for the determinism contract.
   int threads = 0;
 
   /// Optional execution context: deadline, cancellation, resource budget.

@@ -23,13 +23,13 @@ namespace parallel {
 /// Deterministic parallel execution layer of the WCOP pipeline
 /// (DESIGN.md "Parallel execution").
 ///
-/// The EDR hot paths (pivot candidate scans, per-cluster translation, the
-/// TRACLUS segment-distance matrix) fan their *pure* computations out over a
-/// lazily-started process-wide thread pool while every ordering and
-/// tie-breaking decision stays on the coordinating thread. Results are
-/// written to caller-indexed slots, so the published output is byte-identical
-/// between `threads == 1` and `threads == N` — see the determinism contract
-/// in DESIGN.md.
+/// The coarse-grained hot paths (per-cluster translation, the TRACLUS
+/// segment-distance matrix, attack victims) fan their *pure* computations
+/// out over a lazily-started process-wide thread pool while every ordering
+/// and tie-breaking decision stays on the coordinating thread. Results are
+/// written to caller-indexed slots, so the published output is
+/// byte-identical between `threads == 1` and `threads == N` — see the
+/// determinism contract in DESIGN.md.
 ///
 /// Thread-count resolution, everywhere in the code base:
 ///   * `threads <= 0` — auto: the WCOP_THREADS environment variable when set

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <mutex>
+#include <vector>
 
 namespace wcop {
 
@@ -20,6 +21,15 @@ std::atomic<CancellationToken*> g_token{nullptr};
 
 std::mutex g_install_mu;
 bool g_handlers_installed = false;
+
+/// Tokens the test-only reset replaced. A handler racing the reset may
+/// still dereference one, so they are never freed; holding them here (in a
+/// container that is never destroyed either) keeps them reachable for the
+/// life of the process. Guarded by g_install_mu.
+std::vector<CancellationToken*>& RetiredTokens() {
+  static auto* retired = new std::vector<CancellationToken*>();
+  return *retired;
+}
 
 extern "C" void HandleShutdownSignal(int signo) {
   int expected = 0;
@@ -68,9 +78,12 @@ void ResetShutdownSignalStateForTesting() {
   std::lock_guard<std::mutex> lock(g_install_mu);
   g_last_signal.store(0, std::memory_order_relaxed);
   // Old token copies stay tripped; future installs hand out a fresh flag.
-  // The previous token object leaks by design — a handler racing the reset
-  // may still dereference it.
-  g_token.store(new CancellationToken(), std::memory_order_release);
+  // The previous token object is retired, not freed.
+  if (CancellationToken* previous =
+          g_token.exchange(new CancellationToken(), std::memory_order_acq_rel);
+      previous != nullptr) {
+    RetiredTokens().push_back(previous);
+  }
 }
 
 }  // namespace wcop

@@ -61,12 +61,6 @@ double EdrDistance(const Trajectory& a, const Trajectory& b,
 double NormalizedEdrDistance(const Trajectory& a, const Trajectory& b,
                              const EdrTolerance& tolerance);
 
-/// Early-abandoning normalized EDR: the length lower bound becomes
-/// ||a|-|b|| / max(|a|,|b|); semantics as the EdrDistance overload above.
-double NormalizedEdrDistance(const Trajectory& a, const Trajectory& b,
-                             const EdrTolerance& tolerance, double cutoff,
-                             bool* abandoned);
-
 /// Reconstructs one optimal EDR edit script transforming `traj` so that it
 /// aligns with `pivot` (ops are emitted in order of increasing indices).
 /// O(|traj|*|pivot|) time and space.

@@ -5,6 +5,7 @@
 
 #include "anon/greedy_clustering.h"
 #include "anon/wcop_ct.h"
+#include "common/run_context.h"
 #include "common/telemetry.h"
 #include "test_util.h"
 
@@ -142,86 +143,45 @@ TEST(GreedyClusteringTest, LeftoverJoinsOnlyCompatibleCluster) {
   }
 }
 
-void ExpectSameOutcome(const ClusteringOutcome& a,
-                       const ClusteringOutcome& b) {
-  ASSERT_EQ(a.clusters.size(), b.clusters.size());
-  for (size_t i = 0; i < a.clusters.size(); ++i) {
-    EXPECT_EQ(a.clusters[i].pivot, b.clusters[i].pivot) << "cluster " << i;
-    EXPECT_EQ(a.clusters[i].members, b.clusters[i].members) << "cluster " << i;
-    EXPECT_EQ(a.clusters[i].k, b.clusters[i].k) << "cluster " << i;
-    EXPECT_DOUBLE_EQ(a.clusters[i].delta, b.clusters[i].delta)
-        << "cluster " << i;
-  }
-  EXPECT_EQ(a.trash, b.trash);
-  EXPECT_EQ(a.rounds, b.rounds);
-  EXPECT_DOUBLE_EQ(a.final_radius, b.final_radius);
-}
-
-TEST(GreedyClusteringTest, CascadeMatchesExhaustiveBaseline) {
-  // The lower-bound cascade must be a pure accelerator: cascade-on and
-  // cascade-off runs produce identical clusters, trash, and relaxation
-  // history (this mirrors the CI byte-identity gate on published output).
-  const Dataset d = SmallSynthetic(40, 50, /*k_max=*/5);
-  WcopOptions on = ResolvedFor(d);
-  on.distance.cascade = true;
-  WcopOptions off = ResolvedFor(d);
-  off.distance.cascade = false;
-  const auto with_cascade = GreedyClustering(d, 4, on);
-  const auto without = GreedyClustering(d, 4, off);
-  ASSERT_TRUE(with_cascade.ok()) << with_cascade.status();
-  ASSERT_TRUE(without.ok()) << without.status();
-  ExpectSameOutcome(*with_cascade, *without);
-}
-
-TEST(GreedyClusteringTest, CascadeMatchesBaselineAcrossDistantTiles) {
-  // Two bundles 200 km apart exercise the grid pre-filter (out-of-reach
-  // candidates are priced at edr_scale without a probe) plus the
-  // separation rung; the outcome must still match the exhaustive run.
-  Dataset d;
-  for (int i = 0; i < 6; ++i) {
-    d.Add(MakeLineWithReq(i, 0, i * 5.0, 1, 0, 20, /*k=*/3, /*delta=*/100));
-    d.Add(MakeLineWithReq(10 + i, 2.0e5, i * 5.0, 1, 0, 20, /*k=*/3,
-                          /*delta=*/100));
-  }
-  WcopOptions on = ResolvedFor(d);
-  WcopOptions off = ResolvedFor(d);
-  off.distance.cascade = false;
-  const auto with_cascade = GreedyClustering(d, 2, on);
-  const auto without = GreedyClustering(d, 2, off);
-  ASSERT_TRUE(with_cascade.ok()) << with_cascade.status();
-  ASSERT_TRUE(without.ok()) << without.status();
-  ExpectSameOutcome(*with_cascade, *without);
-}
-
 TEST(GreedyClusteringTest, CascadePrunesAndAbandonsOnStockConfig) {
-  // Regression guard for the (previously dead) early-abandon path and the
-  // cascade counters: on a stock synthetic workload the cutoff-certified
-  // bounds must actually fire, and the number of exact DP computations must
-  // drop strictly below the exhaustive baseline.
+  // Regression guard for the early-abandon path and the cascade counters:
+  // on a stock synthetic workload the cutoff-certified bounds must
+  // actually fire, and the number of exact DP computations must drop
+  // strictly below what an exhaustive scan runs. That baseline is
+  // analytic. In one round, the round's cutoff radius_max = edr_scale
+  // admits every distance, so an exhaustive scan runs the DP once per
+  // distinct (pivot, unclustered candidate) pair. RunContext counts every
+  // scanned pair; a pair is scanned twice only when the first of its two
+  // pivots was rejected (an accepted pivot is clustered, so no later scan
+  // sees it), so at most (n - 1) pairs per rejected attempt repeat.
   const Dataset d = SmallSynthetic(40, 50, /*k_max=*/5);
+  WcopOptions options = ResolvedFor(d);
+  ASSERT_EQ(options.radius_max, options.distance.edr_scale);
+  telemetry::Telemetry tel;
+  options.telemetry = &tel;
+  RunContext context;
+  options.run_context = &context;
+  const auto outcome = GreedyClustering(d, 4, options);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  ASSERT_EQ(outcome->rounds, 1u);
+  const telemetry::MetricsSnapshot snap = tel.metrics().Snapshot();
+  const uint64_t rejected = snap.CounterValue("cluster.rejected.radius") +
+                            snap.CounterValue("cluster.rejected.exhausted");
+  ASSERT_GT(context.candidate_pairs(), rejected * (d.size() - 1));
+  const uint64_t exhaustive_calls_at_least =
+      context.candidate_pairs() - rejected * (d.size() - 1);
 
-  WcopOptions on = ResolvedFor(d);
-  telemetry::Telemetry tel_on;
-  on.telemetry = &tel_on;
-  ASSERT_TRUE(GreedyClustering(d, 4, on).ok());
-  const telemetry::MetricsSnapshot snap_on = tel_on.metrics().Snapshot();
-
-  WcopOptions off = ResolvedFor(d);
-  off.distance.cascade = false;
-  telemetry::Telemetry tel_off;
-  off.telemetry = &tel_off;
-  ASSERT_TRUE(GreedyClustering(d, 4, off).ok());
-  const telemetry::MetricsSnapshot snap_off = tel_off.metrics().Snapshot();
-
-  EXPECT_GT(snap_on.CounterValue("distance.early_abandoned"), 0u);
+  EXPECT_GT(snap.CounterValue("distance.early_abandoned"), 0u);
   const uint64_t lb_pruned =
-      snap_on.CounterValue("distance.lb.length_pruned") +
-      snap_on.CounterValue("distance.lb.separation_pruned") +
-      snap_on.CounterValue("distance.lb.envelope_pruned") +
-      snap_on.CounterValue("distance.lb.band_pruned");
+      snap.CounterValue("distance.lb.length_pruned") +
+      snap.CounterValue("distance.lb.separation_pruned") +
+      snap.CounterValue("distance.lb.envelope_pruned") +
+      snap.CounterValue("distance.lb.band_pruned");
   EXPECT_GT(lb_pruned, 0u);
-  EXPECT_LT(snap_on.CounterValue("distance.calls.edr"),
-            snap_off.CounterValue("distance.calls.edr"));
+  EXPECT_LT(snap.CounterValue("distance.calls.edr"),
+            exhaustive_calls_at_least);
+  EXPECT_EQ(context.distance_computations(),
+            snap.CounterValue("distance.calls.edr"));
 }
 
 }  // namespace

@@ -7,7 +7,10 @@
 // cache or thread pool. GreedyClustering must reproduce it exactly —
 // clusters (pivot, member order, k, delta), trash, rounds, final radius and
 // the total candidate-pair charge — on seeded adversarial inputs, for both
-// pivot policies, with the cascade on and off, at one and four threads.
+// pivot policies, at one and four threads (the clustering loop is serial;
+// the thread count must not reach it). EDR with a positive scale runs the
+// grid + bound cascade; synchronized Euclidean (NWA) and a zero EDR scale
+// take the plain exhaustive scan, and are diffed here too.
 
 #include <gtest/gtest.h>
 
@@ -29,6 +32,7 @@ namespace wcop {
 namespace {
 
 using testing_util::MakeLineWithReq;
+using testing_util::SmallSynthetic;
 
 Result<ClusteringOutcome> ReferenceClustering(const Dataset& d,
                                               size_t trash_max,
@@ -231,8 +235,9 @@ struct Coverage {
   size_t runs = 0;
   size_t unsatisfiable = 0;
   size_t relaxed = 0;          ///< outcomes that needed more than one round
-  uint64_t implicit = 0;       ///< distance.candidates.prefiltered (cascade)
-  uint64_t rejected = 0;       ///< cluster.rejected.* (cascade)
+  uint64_t implicit = 0;       ///< distance.candidates.prefiltered
+  uint64_t rejected = 0;       ///< cluster.rejected.*
+  uint64_t lb_pruned = 0;      ///< distance.lb.*_pruned
 };
 
 /// Convoys on one road per tile, all sampled at the same instants, each
@@ -274,46 +279,46 @@ void ExpectSameAsReference(const Dataset& d, size_t trash_max,
       ++coverage->relaxed;
     }
   }
-  for (const bool cascade : {true, false}) {
-    for (const int threads : {1, 4}) {
-      SCOPED_TRACE(label + (cascade ? " cascade" : " exhaustive") +
-                   " threads=" + std::to_string(threads));
-      WcopOptions options = base;
-      options.distance.cascade = cascade;
-      options.threads = threads;
-      RunContext context;
-      options.run_context = &context;
-      telemetry::Telemetry tel;
-      options.telemetry = &tel;
-      const Result<ClusteringOutcome> actual =
-          GreedyClustering(d, trash_max, options);
-      if (coverage != nullptr && cascade && threads == 1) {
-        const telemetry::MetricsSnapshot snap = tel.metrics().Snapshot();
-        coverage->implicit +=
-            snap.CounterValue("distance.candidates.prefiltered");
-        coverage->rejected +=
-            snap.CounterValue("cluster.rejected.radius") +
-            snap.CounterValue("cluster.rejected.exhausted");
-      }
-      ASSERT_EQ(actual.ok(), expected.ok())
-          << (actual.ok() ? expected.status() : actual.status());
-      if (!expected.ok()) {
-        EXPECT_EQ(actual.status().code(), expected.status().code());
-        continue;
-      }
-      EXPECT_EQ(actual->rounds, expected->rounds);
-      EXPECT_EQ(actual->final_radius, expected->final_radius);
-      EXPECT_EQ(actual->trash, expected->trash);
-      EXPECT_EQ(context.candidate_pairs(), reference_pairs);
-      ASSERT_EQ(actual->clusters.size(), expected->clusters.size());
-      for (size_t c = 0; c < expected->clusters.size(); ++c) {
-        const AnonymityCluster& a = actual->clusters[c];
-        const AnonymityCluster& e = expected->clusters[c];
-        EXPECT_EQ(a.pivot, e.pivot) << "cluster " << c;
-        EXPECT_EQ(a.members, e.members) << "cluster " << c;
-        EXPECT_EQ(a.k, e.k) << "cluster " << c;
-        EXPECT_EQ(a.delta, e.delta) << "cluster " << c;
-      }
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(label + " threads=" + std::to_string(threads));
+    WcopOptions options = base;
+    options.threads = threads;
+    RunContext context;
+    options.run_context = &context;
+    telemetry::Telemetry tel;
+    options.telemetry = &tel;
+    const Result<ClusteringOutcome> actual =
+        GreedyClustering(d, trash_max, options);
+    if (coverage != nullptr && threads == 1) {
+      const telemetry::MetricsSnapshot snap = tel.metrics().Snapshot();
+      coverage->implicit +=
+          snap.CounterValue("distance.candidates.prefiltered");
+      coverage->rejected += snap.CounterValue("cluster.rejected.radius") +
+                            snap.CounterValue("cluster.rejected.exhausted");
+      coverage->lb_pruned +=
+          snap.CounterValue("distance.lb.length_pruned") +
+          snap.CounterValue("distance.lb.separation_pruned") +
+          snap.CounterValue("distance.lb.envelope_pruned") +
+          snap.CounterValue("distance.lb.band_pruned");
+    }
+    ASSERT_EQ(actual.ok(), expected.ok())
+        << (actual.ok() ? expected.status() : actual.status());
+    if (!expected.ok()) {
+      EXPECT_EQ(actual.status().code(), expected.status().code());
+      continue;
+    }
+    EXPECT_EQ(actual->rounds, expected->rounds);
+    EXPECT_EQ(actual->final_radius, expected->final_radius);
+    EXPECT_EQ(actual->trash, expected->trash);
+    EXPECT_EQ(context.candidate_pairs(), reference_pairs);
+    ASSERT_EQ(actual->clusters.size(), expected->clusters.size());
+    for (size_t c = 0; c < expected->clusters.size(); ++c) {
+      const AnonymityCluster& a = actual->clusters[c];
+      const AnonymityCluster& e = expected->clusters[c];
+      EXPECT_EQ(a.pivot, e.pivot) << "cluster " << c;
+      EXPECT_EQ(a.members, e.members) << "cluster " << c;
+      EXPECT_EQ(a.k, e.k) << "cluster " << c;
+      EXPECT_EQ(a.delta, e.delta) << "cluster " << c;
     }
   }
 }
@@ -465,6 +470,78 @@ TEST(GreedyOracleTest, KGlobalAboveDatasetSizeExhaustsEveryPool) {
   ExpectSameAsReference(d, /*trash_max=*/0, options, "all k>|D| strict");
   ExpectSameAsReference(d, /*trash_max=*/d.size(), options,
                         "all k>|D| lenient");
+}
+
+TEST(GreedyOracleTest, StockSyntheticMatchesReference) {
+  // The seeded synthetic workload the clustering unit tests use, at the
+  // resolved defaults: the bound cascade must prune on it.
+  const Dataset d = SmallSynthetic(40, 50, /*k_max=*/5);
+  Coverage coverage;
+  for (const auto policy : {WcopOptions::PivotPolicy::kRandom,
+                            WcopOptions::PivotPolicy::kFarthestFirst}) {
+    WcopOptions options = ResolveOptions(d, WcopOptions{});
+    options.pivot_policy = policy;
+    ExpectSameAsReference(d, /*trash_max=*/4, options, "stock", &coverage);
+  }
+  EXPECT_GT(coverage.lb_pruned, 0u);
+}
+
+TEST(GreedyOracleTest, TwoDistantBundlesMatchReference) {
+  // Two bundles 200 km apart: out-of-reach candidates are priced at
+  // edr_scale without a probe, the rest go through the separation rung.
+  Dataset d;
+  for (int i = 0; i < 6; ++i) {
+    d.Add(MakeLineWithReq(i, 0, i * 5.0, 1, 0, 20, /*k=*/3, /*delta=*/100));
+    d.Add(MakeLineWithReq(10 + i, 2.0e5, i * 5.0, 1, 0, 20, /*k=*/3,
+                          /*delta=*/100));
+  }
+  Coverage coverage;
+  ExpectSameAsReference(d, /*trash_max=*/2, ResolveOptions(d, WcopOptions{}),
+                        "bundles", &coverage);
+  EXPECT_GT(coverage.implicit, 0u);
+}
+
+TEST(GreedyOracleTest, PlainPathMatchesReference) {
+  // Synchronized Euclidean (the NWA baseline's distance) and EDR at a zero
+  // scale have no certified bounds: GreedyClustering takes the exhaustive
+  // scan, which must match the reference as well — including the
+  // rejection/relaxation paths under tight radii.
+  CorpusShape shape;
+  shape.tiles = 2;
+  shape.per_tile = 10;
+  Coverage coverage;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const Dataset d = MakeCorpus(shape, 500 + seed);
+    WcopOptions euclidean_base;
+    euclidean_base.distance.kind =
+        DistanceConfig::Kind::kSynchronizedEuclidean;
+    const WcopOptions euclidean = ResolveOptions(d, euclidean_base);
+    WcopOptions zero_scale = ResolveOptions(d, WcopOptions{});
+    zero_scale.distance.edr_scale = 0.0;
+    for (const bool plain_euclidean : {true, false}) {
+      const WcopOptions& base = plain_euclidean ? euclidean : zero_scale;
+      const std::string kind = plain_euclidean ? "euclidean" : "zero-scale";
+      for (const auto policy : {WcopOptions::PivotPolicy::kRandom,
+                                WcopOptions::PivotPolicy::kFarthestFirst}) {
+        for (const double radius_fraction : {1.0, 0.05}) {
+          WcopOptions options = base;
+          options.seed = seed;
+          options.pivot_policy = policy;
+          options.radius_max = base.radius_max * radius_fraction;
+          options.max_clustering_rounds = 8;
+          ExpectSameAsReference(d, /*trash_max=*/2, options,
+                                kind + " seed=" + std::to_string(seed) +
+                                    " radius*" +
+                                    std::to_string(radius_fraction),
+                                &coverage);
+        }
+      }
+    }
+  }
+  // The plain path never prefilters or prunes; the tight radius rejects.
+  EXPECT_EQ(coverage.implicit, 0u);
+  EXPECT_EQ(coverage.lb_pruned, 0u);
+  EXPECT_GT(coverage.rejected, 0u);
 }
 
 }  // namespace

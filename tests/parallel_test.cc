@@ -248,16 +248,15 @@ TEST(ParallelTest, SerialPathNeverStartsThePool) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedPairDistanceCache: value correctness + exact accounting under
-// concurrency (run under TSan in CI with WCOP_THREADS=4).
+// PairDistanceCache: value correctness + exact accounting.
 // ---------------------------------------------------------------------------
 
-TEST(ShardedCacheTest, ValuesMatchDirectComputation) {
+TEST(PairDistanceCacheTest, ValuesMatchDirectComputation) {
   const Dataset d = SmallSynthetic(16, 24);
   DistanceConfig config;
   config.edr_scale = 1000.0;
   config.tolerance = EdrTolerance{100.0, 100.0, 600.0};
-  ShardedPairDistanceCache cache(d, config, nullptr, nullptr, 200);
+  PairDistanceCache cache(d, config, nullptr, nullptr, 200);
   for (size_t i = 0; i < d.size(); ++i) {
     for (size_t j = 0; j < d.size(); ++j) {
       const double expected =
@@ -267,7 +266,7 @@ TEST(ShardedCacheTest, ValuesMatchDirectComputation) {
   }
 }
 
-TEST(ShardedCacheTest, ConcurrentStressKeepsExactAccounting) {
+TEST(PairDistanceCacheTest, RepeatedLookupsKeepExactAccounting) {
   const Dataset d = SmallSynthetic(24, 20);
   DistanceConfig config;
   config.edr_scale = 1000.0;
@@ -275,30 +274,19 @@ TEST(ShardedCacheTest, ConcurrentStressKeepsExactAccounting) {
   telemetry::Telemetry tel;
   RunContext context;
   const size_t n = d.size();
-  ShardedPairDistanceCache cache(d, config, &context, &tel, n * n);
+  PairDistanceCache cache(d, config, &context, &tel, n * n);
 
-  // Hammer the same pair set from many threads, including same-key races
-  // (every pair is looked up ~8 times) and both lookup flavours.
+  // Every ordered pair is looked up 8 times, in both orientations and with
+  // both lookup flavours interleaved.
   const size_t lookups = n * n * 8;
-  std::vector<double> got(lookups);
-  Status s = ParallelFor(
-      lookups,
-      [&](size_t t) {
-        const size_t i = (t / n) % n;
-        const size_t j = t % n;
-        got[t] = (t % 3 == 0)
-                     ? cache.GetWithCutoff(i, j, 1e18)  // never abandons
-                     : cache.Get(i, j);
-      },
-      WithThreads(8, 1));
-  ASSERT_TRUE(s.ok()) << s;
-
-  // Values: every slot equals the direct computation.
   for (size_t t = 0; t < lookups; ++t) {
     const size_t i = (t / n) % n;
     const size_t j = t % n;
+    const double got = (t % 3 == 0)
+                           ? cache.GetWithCutoff(i, j, 1e18)  // never abandons
+                           : cache.Get(i, j);
     const double expected = i == j ? 0.0 : ClusterDistance(d[i], d[j], config);
-    ASSERT_DOUBLE_EQ(got[t], expected) << "lookup " << t;
+    ASSERT_DOUBLE_EQ(got, expected) << "lookup " << t;
   }
 
   // Accounting: each distinct pair resolved exactly once — by the DP
@@ -308,6 +296,7 @@ TEST(ShardedCacheTest, ConcurrentStressKeepsExactAccounting) {
   const size_t distinct_pairs = n * (n - 1) / 2;
   const telemetry::MetricsSnapshot snap = tel.metrics().Snapshot();
   EXPECT_EQ(cache.computed() + cache.analytic(), distinct_pairs);
+  EXPECT_GT(cache.computed(), 0u);
   EXPECT_EQ(snap.CounterValue("distance.calls.edr"), cache.computed());
   // No cutoff ever certified a bound (1e18 never abandons): the abandon
   // tally is exactly the analytic resolutions.
@@ -318,23 +307,22 @@ TEST(ShardedCacheTest, ConcurrentStressKeepsExactAccounting) {
   EXPECT_EQ(context.distance_computations(), cache.computed());
 }
 
-TEST(ShardedCacheTest, BoundEntriesUpgradeToExact) {
-  // Legacy (cascade-off) semantics, kept alive by the kill-switch: two
-  // trajectories of very different lengths make the length lower bound
-  // exceed a small cutoff, so the first lookup abandons; a later lookup
-  // with a generous cutoff must upgrade to the exact distance and charge
-  // exactly once.
+TEST(PairDistanceCacheTest, BoundEntriesUpgradeToExact) {
+  // Two overlapping trajectories of very different lengths: the length
+  // lower bound exceeds a small cutoff, so the first lookup abandons, but
+  // the MBRs overlap and points match, so no analytic certificate applies
+  // — a later lookup with a generous cutoff must upgrade the stored bound
+  // to the DP's exact distance and charge exactly once.
   Dataset d(std::vector<Trajectory>{
       testing_util::MakeLine(1, 0.0, 0.0, 10.0, 0.0, 4),
-      testing_util::MakeLine(2, 0.0, 500.0, 10.0, 0.0, 40),
+      testing_util::MakeLine(2, 0.0, 0.0, 10.0, 0.0, 40),
   });
   DistanceConfig config;
   config.edr_scale = 1000.0;
   config.tolerance = EdrTolerance{100.0, 100.0, 600.0};
-  config.cascade = false;
   telemetry::Telemetry tel;
-  ShardedPairDistanceCache cache(d, config, nullptr, &tel, 4);
-  ASSERT_FALSE(cache.cascade_active());
+  PairDistanceCache cache(d, config, nullptr, &tel, 4);
+  ASSERT_TRUE(cache.cascade_active());
 
   const double bound = cache.GetWithCutoff(0, 1, 1e-6);
   EXPECT_GT(bound, 1e-6);  // served the (abandoning) lower bound
@@ -351,12 +339,49 @@ TEST(ShardedCacheTest, BoundEntriesUpgradeToExact) {
   EXPECT_DOUBLE_EQ(exact, ClusterDistance(d[0], d[1], config));
   EXPECT_GE(exact, bound);  // it was a true lower bound
   EXPECT_EQ(cache.computed(), 1u);
+  EXPECT_EQ(cache.analytic(), 0u);
+  // ...and is then served as an exact hit whatever the cutoff.
+  EXPECT_DOUBLE_EQ(cache.GetWithCutoff(0, 1, 1e-6), exact);
+  EXPECT_EQ(cache.computed(), 1u);
   const telemetry::MetricsSnapshot snap = tel.metrics().Snapshot();
   EXPECT_EQ(snap.CounterValue("distance.calls.edr"), 1u);
   EXPECT_EQ(snap.CounterValue("distance.early_abandoned"), 1u);
+  EXPECT_EQ(snap.CounterValue("distance.lb.length_pruned"), 1u);
+  EXPECT_EQ(snap.CounterValue("distance.cache_hits"), 2u);
 }
 
-TEST(ShardedCacheTest, CascadeServesAnalyticExactsWithoutCharging) {
+TEST(PairDistanceCacheTest, PlainKindsNeverStoreBounds) {
+  // Without the cascade (synchronized Euclidean, or EDR at a non-positive
+  // scale) there is no certified bound: a cutoff lookup computes the exact
+  // distance once, charges it, and serves every repeat from the cache.
+  Dataset d(std::vector<Trajectory>{
+      testing_util::MakeLine(1, 0.0, 0.0, 10.0, 0.0, 4),
+      testing_util::MakeLine(2, 0.0, 500.0, 10.0, 0.0, 40),
+  });
+  for (const auto kind : {DistanceConfig::Kind::kSynchronizedEuclidean,
+                          DistanceConfig::Kind::kEdr}) {
+    DistanceConfig config;
+    config.kind = kind;
+    config.tolerance = EdrTolerance{100.0, 100.0, 600.0};
+    telemetry::Telemetry tel;
+    RunContext context;
+    PairDistanceCache cache(d, config, &context, &tel, 4);
+    ASSERT_FALSE(cache.cascade_active());
+    const double expected = ClusterDistance(d[0], d[1], config);
+    EXPECT_DOUBLE_EQ(cache.GetWithCutoff(0, 1, -1.0), expected);
+    EXPECT_DOUBLE_EQ(cache.GetWithCutoff(1, 0, -1.0), expected);
+    EXPECT_DOUBLE_EQ(cache.Get(0, 1), expected);
+    EXPECT_EQ(cache.computed(), 1u);
+    EXPECT_EQ(cache.abandoned(), 0u);
+    EXPECT_EQ(context.distance_computations(), 1u);
+    const telemetry::MetricsSnapshot snap = tel.metrics().Snapshot();
+    EXPECT_EQ(snap.CounterValue(DistanceCallCounterName(config)), 1u);
+    EXPECT_EQ(snap.CounterValue("distance.cache_hits"), 2u);
+    EXPECT_EQ(snap.CounterValue("distance.early_abandoned"), 0u);
+  }
+}
+
+TEST(PairDistanceCacheTest, CascadeServesAnalyticExactsWithoutCharging) {
   // Same pair with the cascade on. The y-gap (500 > dy + dy-extent) makes
   // the dilated MBRs disjoint, so the separation rung *knows* the distance
   // is edr_scale without running the DP: a cutoff lookup first abandons on
@@ -370,7 +395,7 @@ TEST(ShardedCacheTest, CascadeServesAnalyticExactsWithoutCharging) {
   config.edr_scale = 1000.0;
   config.tolerance = EdrTolerance{100.0, 100.0, 600.0};
   telemetry::Telemetry tel;
-  ShardedPairDistanceCache cache(d, config, nullptr, &tel, 4);
+  PairDistanceCache cache(d, config, nullptr, &tel, 4);
   ASSERT_TRUE(cache.cascade_active());
 
   const double bound = cache.GetWithCutoff(0, 1, 1e-6);

@@ -15,6 +15,12 @@ namespace {
 
 using testing_util::SmallSynthetic;
 
+/// SmallSynthetic whose EDR tolerance spans the whole region: every point
+/// pair matches, so every pair the clustering looks at runs the DP.
+Dataset HugeToleranceSynthetic(size_t n) {
+  return SmallSynthetic(n, 30, /*k_max=*/5, /*delta_max=*/1.0e6);
+}
+
 // ---------------------------------------------------------------------------
 // Unit semantics of the RunContext primitives.
 // ---------------------------------------------------------------------------
@@ -148,16 +154,15 @@ TEST(RunContextTest, WcopCtDeadlineWithPartialResultsDegrades) {
 TEST(RunContextTest, WcopCtDistanceBudgetDegradesDeterministically) {
   // A distance budget (unlike a wall-clock deadline) trips at the exact same
   // point on every run, giving a deterministic partial result with some
-  // clusters already formed.
-  const Dataset d = SmallSynthetic(60, 30);
+  // clusters already formed. The input is built so the DP really runs: a
+  // huge delta_max makes the EDR tolerance (10 * delta_max) span the whole
+  // region, so no lower bound or separation certificate can settle a pair.
+  const Dataset d = HugeToleranceSynthetic(60);
   RunContext context;
   ResourceBudget budget;
   budget.max_distance_computations = 200;
   context.set_budget(budget);
   WcopOptions options;
-  // The exhaustive (cascade-off) path: this test is about budget-trip
-  // determinism and needs every pair to actually run the DP.
-  options.distance.cascade = false;
   options.run_context = &context;
   options.allow_partial_results = true;
   Result<AnonymizationResult> result = RunWcopCt(d, options);
@@ -176,13 +181,12 @@ TEST(RunContextTest, WcopCtDistanceBudgetDegradesDeterministically) {
 }
 
 TEST(RunContextTest, WcopCtBudgetWithoutPartialResultsFails) {
-  const Dataset d = SmallSynthetic(60, 30);
+  const Dataset d = HugeToleranceSynthetic(60);  // see budget test above
   RunContext context;
   ResourceBudget budget;
   budget.max_distance_computations = 200;
   context.set_budget(budget);
   WcopOptions options;
-  options.distance.cascade = false;  // see budget test above
   options.run_context = &context;
   Result<AnonymizationResult> result = RunWcopCt(d, options);
   ASSERT_FALSE(result.ok());
@@ -204,13 +208,12 @@ TEST(RunContextTest, WcopCtCancellationFails) {
 }
 
 TEST(RunContextTest, AgglomerativeDeadlineDegrades) {
-  const Dataset d = SmallSynthetic(80, 30);
+  // Every medoid pair runs the DP (see the budget test above), so the run
+  // cannot finish inside the 1 ms deadline, leaving something to degrade.
+  const Dataset d = HugeToleranceSynthetic(80);
   RunContext context;
   context.set_deadline_after(std::chrono::milliseconds(1));
   WcopOptions options;
-  // Cascade off: with the lower-bound cascade the whole run can finish
-  // inside the 1 ms deadline, leaving nothing to degrade.
-  options.distance.cascade = false;
   options.clustering_algo = WcopOptions::ClusteringAlgo::kAgglomerative;
   options.run_context = &context;
   options.allow_partial_results = true;
