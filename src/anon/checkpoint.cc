@@ -206,7 +206,7 @@ bool CheckEndMarker(TokenReader* in, size_t payload_size) {
 }
 
 // ---------------------------------------------------------------------------
-// Shared sub-encoders.
+// Sub-encoders of the WCOP-B payload.
 // ---------------------------------------------------------------------------
 
 void AppendTrajectory(std::string* out, const Trajectory& t) {
@@ -432,16 +432,6 @@ uint64_t WcopOptionsFingerprint(const WcopOptions& options) {
   return h;
 }
 
-uint64_t StreamingConfigFingerprint(const Dataset& dataset,
-                                    const StreamingOptions& options) {
-  uint64_t h = DatasetFingerprint(dataset);
-  HashU64(&h, 0x5354524dULL);  // "STRM" domain separator
-  HashDouble(&h, options.window_seconds);
-  HashU64(&h, options.min_fragment_points);
-  HashWcopOptions(&h, options.wcop);
-  return h;
-}
-
 uint64_t WcopBConfigFingerprint(const Dataset& dataset,
                                 const WcopOptions& options,
                                 const WcopBOptions& b_options) {
@@ -456,107 +446,6 @@ uint64_t WcopBConfigFingerprint(const Dataset& dataset,
   HashU64(&h, static_cast<uint64_t>(b_options.edit_policy));
   HashDouble(&h, b_options.proportional_strength);
   return h;
-}
-
-std::string EncodeStreamingCheckpoint(const StreamingCheckpoint& checkpoint) {
-  std::string out;
-  AppendWord(&out, "wcop-streaming-checkpoint");
-  AppendU64(&out, kStreamingCheckpointVersion);
-  EndLine(&out);
-  AppendWord(&out, "fingerprint");
-  AppendU64(&out, checkpoint.fingerprint);
-  EndLine(&out);
-  AppendWord(&out, "state");
-  AppendU64(&out, checkpoint.windows_done);
-  AppendI64(&out, checkpoint.next_fragment_id);
-  AppendU64(&out, checkpoint.suppressed_fragments);
-  AppendU64(&out, checkpoint.total_clusters);
-  AppendDouble(&out, checkpoint.total_ttd);
-  AppendU64(&out, checkpoint.degraded ? 1 : 0);
-  AppendBlob(&out, checkpoint.degraded_reason);
-  EndLine(&out);
-  AppendWord(&out, "nwindows");
-  AppendU64(&out, checkpoint.windows.size());
-  EndLine(&out);
-  for (const StreamingWindowSummary& w : checkpoint.windows) {
-    AppendWord(&out, "window");
-    AppendDouble(&out, w.window_start);
-    AppendU64(&out, w.input_fragments);
-    AppendU64(&out, w.published_fragments);
-    AppendU64(&out, w.clusters);
-    AppendDouble(&out, w.ttd);
-    AppendU64(&out, w.skipped ? 1 : 0);
-    EndLine(&out);
-  }
-  AppendWord(&out, "ntraj");
-  AppendU64(&out, checkpoint.published.size());
-  EndLine(&out);
-  for (const Trajectory& t : checkpoint.published) {
-    AppendTrajectory(&out, t);
-  }
-  AppendCounters(&out, checkpoint.counters);
-  AppendEndMarker(&out);
-  return out;
-}
-
-Result<StreamingCheckpoint> DecodeStreamingCheckpoint(
-    std::string_view payload) {
-  TokenReader in(payload);
-  uint64_t version = 0;
-  if (!in.Literal("wcop-streaming-checkpoint") || !in.U64(&version)) {
-    return Corrupt("missing streaming preamble");
-  }
-  if (version != kStreamingCheckpointVersion) {
-    return Status::FailedPrecondition(
-        "streaming checkpoint version " + std::to_string(version) +
-        " unsupported (expected " +
-        std::to_string(kStreamingCheckpointVersion) + ")");
-  }
-  StreamingCheckpoint checkpoint;
-  if (!in.Literal("fingerprint") || !in.U64(&checkpoint.fingerprint)) {
-    return Corrupt("missing fingerprint");
-  }
-  if (!in.Literal("state") || !in.SizeT(&checkpoint.windows_done) ||
-      !in.I64(&checkpoint.next_fragment_id) ||
-      !in.SizeT(&checkpoint.suppressed_fragments) ||
-      !in.SizeT(&checkpoint.total_clusters) ||
-      !in.Double(&checkpoint.total_ttd) || !in.Bool(&checkpoint.degraded) ||
-      !in.Blob(&checkpoint.degraded_reason)) {
-    return Corrupt("bad streaming state line");
-  }
-  size_t nwindows = 0;
-  if (!in.Literal("nwindows") || !in.SizeT(&nwindows)) {
-    return Corrupt("bad window count");
-  }
-  checkpoint.windows.reserve(nwindows);
-  for (size_t i = 0; i < nwindows; ++i) {
-    StreamingWindowSummary w;
-    if (!in.Literal("window") || !in.Double(&w.window_start) ||
-        !in.SizeT(&w.input_fragments) || !in.SizeT(&w.published_fragments) ||
-        !in.SizeT(&w.clusters) || !in.Double(&w.ttd) || !in.Bool(&w.skipped)) {
-      return Corrupt("bad window summary");
-    }
-    checkpoint.windows.push_back(w);
-  }
-  size_t ntraj = 0;
-  if (!in.Literal("ntraj") || !in.SizeT(&ntraj)) {
-    return Corrupt("bad trajectory count");
-  }
-  checkpoint.published.reserve(ntraj);
-  for (size_t i = 0; i < ntraj; ++i) {
-    Trajectory t;
-    if (!ReadTrajectory(&in, &t)) {
-      return Corrupt("bad published trajectory");
-    }
-    checkpoint.published.push_back(std::move(t));
-  }
-  if (!ReadCounters(&in, &checkpoint.counters)) {
-    return Corrupt("bad counters");
-  }
-  if (!CheckEndMarker(&in, payload.size())) {
-    return Corrupt("bad end marker (truncated or trailing bytes)");
-  }
-  return checkpoint;
 }
 
 std::string EncodeWcopBCheckpoint(const WcopBCheckpoint& checkpoint) {

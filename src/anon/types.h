@@ -157,7 +157,7 @@ struct AnonymizationReport {
   /// Metrics snapshot taken when the run finished, when a telemetry sink
   /// was attached (empty otherwise). Serialized by ReportToJson under
   /// "metrics". Counters are cumulative over the sink's lifetime, so a
-  /// driver that runs the pipeline repeatedly (WCOP-B rounds, streaming
+  /// run that invokes the pipeline repeatedly (WCOP-B rounds, publication
   /// windows) reports the totals of the whole run.
   telemetry::MetricsSnapshot metrics;
 };

@@ -14,7 +14,6 @@
 #include "anon/metrics.h"
 #include "anon/nwa.h"
 #include "anon/report_json.h"
-#include "anon/streaming.h"
 #include "anon/translation.h"
 #include "anon/types.h"
 #include "anon/uncertainty.h"

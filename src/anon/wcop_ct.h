@@ -43,8 +43,8 @@ Result<AnonymizationResult> AnonymizeClusters(
 /// Publishes the run-wide telemetry gauges (RunContext budget consumption,
 /// process failpoint fires) and stores a metrics snapshot on `report`.
 /// No-op when `options.telemetry` is null. Drivers that wrap RunWcopCt
-/// (WCOP-SA/B, streaming) call this again after adding their own counters
-/// so the final report carries the complete totals.
+/// (WCOP-SA/B) call this again after adding their own counters so the final
+/// report carries the complete totals.
 void SnapshotTelemetry(const WcopOptions& options,
                        AnonymizationReport* report);
 

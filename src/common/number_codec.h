@@ -2,7 +2,7 @@
 #define WCOP_COMMON_NUMBER_CODEC_H_
 
 /// The one number codec of every durable text artifact: store block
-/// records, shard and streaming checkpoints, window manifests and job
+/// records, shard and WCOP-B checkpoints, window manifests and job
 /// records (DESIGN.md "Dataset store & sharding").
 ///
 /// Doubles are written as the shortest decimal that parses back to the same

@@ -11,9 +11,9 @@
 #include <utility>
 
 #include "anon/checkpoint.h"
-#include "anon/streaming.h"
 #include "common/failpoint.h"
 #include "common/log.h"
+#include "common/run_context.h"
 #include "common/telemetry.h"
 #include "store/shard_runner.h"
 #include "store/window_io.h"
@@ -101,8 +101,9 @@ Status WriteEmptyStore(const std::string& path) {
 }
 
 /// True when `status` means "this window cannot be anonymized as given"
-/// rather than "the run is broken": the window publishes empty with
-/// skipped=1, mirroring the streaming driver's per-window skip semantics.
+/// rather than "the run is broken" (e.g. too few co-travellers for
+/// someone's k): the window publishes empty with skipped=1 instead of
+/// leaking its fragments, and the stream moves on to the next window.
 bool IsWindowSkip(const Status& status) {
   return status.code() == StatusCode::kUnsatisfiable ||
          status.code() == StatusCode::kInvalidArgument;
@@ -215,8 +216,9 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
     t_min = std::min(t_min, entry.t_min);
     t_max = std::max(t_max, entry.t_max);
   }
-  WCOP_ASSIGN_OR_RETURN(const WindowPlan plan,
-                        PlanWindows(t_min, t_max, options.window_seconds));
+  WCOP_ASSIGN_OR_RETURN(
+      const store::WindowPlan plan,
+      store::PlanWindows(t_min, t_max, options.window_seconds));
   size_t windows_total = plan.num_windows;
   if (options.max_windows > 0) {
     windows_total = std::min(windows_total, options.max_windows);
@@ -301,6 +303,19 @@ Result<ContinuousPipelineResult> RunContinuousPipeline(
 
   // ---- Window loop. ----------------------------------------------------
   for (size_t wi = first_window; wi < windows_total; ++wi) {
+    // Cooperative yield point, once per window before any of its work, so
+    // a deadline or cancellation stops even a run of empty windows. The
+    // stop is never durable: no manifest commits for this window, and a
+    // resumed run recomputes the rest at full quality.
+    if (Status s = CheckRunContext(options.wcop.run_context); !s.ok()) {
+      if (!options.wcop.allow_partial_results) {
+        return s;
+      }
+      log::Warn("pipeline: run stopped early",
+                {{"window", wi}, {"reason", s.ToString()}});
+      result.degraded = true;
+      break;
+    }
     const auto wall_start = std::chrono::steady_clock::now();
     const double window_start = plan.WindowStart(wi);
     const double window_end = plan.WindowStart(wi + 1);

@@ -74,8 +74,8 @@ struct ContinuousPipelineOptions {
   double window_seconds = 3600.0;
 
   /// Fragments shorter than this are spilled to the next window when their
-  /// source trajectory continues, else suppressed (paper §6 semantics,
-  /// same default as StreamingOptions).
+  /// source trajectory continues, else suppressed. A fragment with exactly
+  /// this many points publishes; 0 is treated as 1.
   size_t min_fragment_points = 2;
 
   /// Publish at most this many windows (0 = the full grid). The manifest
@@ -92,7 +92,11 @@ struct ContinuousPipelineOptions {
 
   /// Per-window anonymization options. `threads` is honored inside each
   /// shard; observability fields (telemetry) receive pipeline.* counters
-  /// when set. Published bytes are independent of both (PR 4 guarantee).
+  /// when set. Published bytes are independent of both. `run_context` is
+  /// checked once at the top of every window and inside the shard runner:
+  /// a trip fails the run with the trip status, or, with
+  /// `allow_partial_results`, ends it early with `degraded` set and only
+  /// the windows committed so far.
   WcopOptions wcop;
 
   /// Per-window re-partitioning options (store/partitioner.h).
@@ -124,6 +128,9 @@ struct ContinuousPipelineResult {
   uint64_t suppressed_fragments = 0;  ///< includes the trailing carry
   uint64_t total_clusters = 0;
   double total_ttd = 0.0;
+  /// A window published degraded output, or the run context tripped
+  /// between windows under `allow_partial_results` and the run stopped
+  /// early (a resume continues it at full quality).
   bool degraded = false;
   /// One committed manifest per window, in window order — the same records
   /// durably stored next to the output stores.

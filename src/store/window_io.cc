@@ -1,17 +1,47 @@
 #include "store/window_io.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <utility>
 #include <vector>
 
-#include "anon/streaming.h"
 #include "common/failpoint.h"
 
 namespace wcop {
 namespace store {
 
 namespace {
+
+/// Gap between |v| and the next larger double: the rounding grid's spacing
+/// at that magnitude.
+double Ulp(double v) {
+  v = std::fabs(v);
+  return std::nextafter(v, std::numeric_limits<double>::infinity()) - v;
+}
+
+/// Longest stall scan PlanWindows runs when the window width is within a
+/// few ulps of the timestamps (~20 ms on a current x86 core).
+constexpr size_t kMaxStallScanSteps = size_t{1} << 24;
+
+/// Builds a publishable window fragment: fresh id `fragment_id`, the
+/// parent's object id, the parent's requirement (each user's (k_i, δ_i)
+/// rides with every fragment), and parent_id = parent.id() linking back to
+/// the source trajectory.
+Trajectory MakeWindowFragment(int64_t fragment_id, const Trajectory& parent,
+                              std::vector<Point> points) {
+  Trajectory fragment(fragment_id, std::move(points), parent.requirement());
+  fragment.set_object_id(parent.object_id());
+  fragment.set_parent_id(parent.id());
+  return fragment;
+}
+
+Status GridCannotAdvance() {
+  return Status::InvalidArgument(
+      "window_seconds too small for the stream's time magnitude "
+      "(the window grid cannot advance in double precision)");
+}
 
 using CarryMap = std::map<int64_t, Trajectory>;
 
@@ -40,6 +70,71 @@ Result<CarryMap> LoadCarryIn(const std::string& path) {
 }
 
 }  // namespace
+
+Result<WindowPlan> PlanWindows(double t_min, double t_max,
+                               double window_seconds) {
+  if (!(window_seconds > 0.0) || !std::isfinite(window_seconds)) {
+    return Status::InvalidArgument("window_seconds must be positive");
+  }
+  if (!std::isfinite(t_min) || !std::isfinite(t_max) || t_min > t_max) {
+    return Status::InvalidArgument("window plan over an empty time range");
+  }
+  WindowPlan plan;
+  plan.t_min = t_min;
+  plan.window_seconds = window_seconds;
+  const double w = window_seconds;
+
+  // The grid is WindowStart(i) = t_min + i*w in double arithmetic, and
+  // num_windows is the first n with WindowStart(n) > t_max. Every grid
+  // point up to that one lies in [t_min, t_max + 2w] and every offset i*w
+  // in [0, (t_max - t_min) + 3w]. When w exceeds the rounding grid
+  // spacing of both ranges combined, consecutive offsets differ by more
+  // than one ulp of the sum, so the grid strictly advances everywhere and
+  // the count follows from the division, corrected by at most a couple of
+  // steps of the exact predicate.
+  const double start_ulp =
+      Ulp(std::max(std::fabs(t_min), std::fabs(t_max + 2.0 * w)));
+  const double offset_ulp = Ulp((t_max - t_min) + 3.0 * w);
+  if (w - offset_ulp > start_ulp) {
+    size_t n = static_cast<size_t>(std::floor((t_max - t_min) / w));
+    while (n > 0 && plan.WindowStart(n) > t_max) {
+      --n;
+    }
+    while (plan.WindowStart(n + 1) <= t_max) {
+      ++n;
+    }
+    plan.num_windows = n + 1;
+    return plan;
+  }
+
+  // w is within a few ulps of the timestamps: step the grid and reject it
+  // at the first window that does not advance, which at this width comes
+  // within a few steps. A grid still advancing after kMaxStallScanSteps
+  // steps is rejected too; at this width that takes either a w within a
+  // hair of one ulp of the timestamps or a grid of ~2^50 windows.
+  for (size_t n = 0; n < kMaxStallScanSteps; ++n) {
+    if (plan.WindowStart(n) > t_max) {
+      plan.num_windows = n;
+      return plan;
+    }
+    if (plan.WindowStart(n + 1) <= plan.WindowStart(n)) {
+      return GridCannotAdvance();
+    }
+  }
+  return GridCannotAdvance();
+}
+
+std::vector<Point> SlicePointsInWindow(const Trajectory& t,
+                                       double window_start,
+                                       double window_end) {
+  std::vector<Point> points;
+  for (const Point& p : t.points()) {
+    if (p.t >= window_start && p.t < window_end) {
+      points.push_back(p);
+    }
+  }
+  return points;
+}
 
 Result<WindowExtraction> ExtractWindow(const TrajectoryStoreReader& source,
                                        const WindowExtractOptions& options) {

@@ -5,17 +5,16 @@
 /// half of the continuous-publication pipeline (DESIGN.md "Continuous
 /// publication pipeline").
 ///
-/// ExtractWindow() walks the source store's index, reads only the blocks
-/// whose lifetime overlaps the window (one trajectory in memory at a time),
-/// slices each into the window's sub-trajectory with the shared
-/// window-iterator core (anon/streaming.h), and writes the resulting
-/// fragments to a window input store. Fragments too short to publish are
-/// not silently dropped at window boundaries the way the in-memory
-/// streaming driver drops them: when the source trajectory continues past
-/// the window, the short fragment is spilled to a carry-over store and
-/// merged (prepended) into the same user's fragment in the next window,
-/// still carrying that user's (k_i, δ_i). Only a short fragment with no
-/// continuation is suppressed for good.
+/// PlanWindows() lays the fixed-width window grid over the stream's
+/// lifetime. ExtractWindow() walks the source store's index, reads only the
+/// blocks whose lifetime overlaps the window (one trajectory in memory at a
+/// time), slices each into the window's sub-trajectory, and writes the
+/// resulting fragments to a window input store. Fragments too short to
+/// publish are not dropped at window boundaries: when the source trajectory
+/// continues past the window, the short fragment is spilled to a carry-over
+/// store and merged (prepended) into the same user's fragment in the next
+/// window, still carrying that user's (k_i, δ_i). Only a short fragment
+/// with no continuation is suppressed for good.
 ///
 /// Carry-over records are tiny by construction — a record is spilled only
 /// while its accumulated points stay below `min_fragment_points` — so the
@@ -29,12 +28,41 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "store/store_file.h"
+#include "traj/trajectory.h"
 
 namespace wcop {
 namespace store {
+
+/// The deterministic window grid over a time range: window `i` spans
+/// [WindowStart(i), WindowStart(i+1)), and a window exists for every i
+/// with WindowStart(i) <= t_max.
+struct WindowPlan {
+  double t_min = 0.0;
+  double window_seconds = 0.0;
+  size_t num_windows = 0;
+
+  double WindowStart(size_t i) const {
+    return t_min + static_cast<double>(i) * window_seconds;
+  }
+};
+
+/// Computes the window grid covering [t_min, t_max], in constant time for
+/// any width above a few ulps of the timestamps. kInvalidArgument when
+/// window_seconds is not positive, the range is inverted/non-finite, or
+/// window_seconds is so small relative to the time magnitude that the grid
+/// cannot advance (WindowStart(i + 1) == WindowStart(i) for some window i;
+/// at such widths a grid still advancing after 2^24 windows is rejected
+/// too, see window_io.cc).
+Result<WindowPlan> PlanWindows(double t_min, double t_max,
+                               double window_seconds);
+
+/// Copies the points of `t` with window_start <= p.t < window_end, in order.
+std::vector<Point> SlicePointsInWindow(const Trajectory& t,
+                                       double window_start, double window_end);
 
 struct WindowExtractOptions {
   double window_start = 0.0;

@@ -9,7 +9,6 @@
 #include <string_view>
 #include <vector>
 
-#include "anon/streaming.h"
 #include "anon/wcop_b.h"
 #include "common/failpoint.h"
 #include "common/number_codec.h"
@@ -27,8 +26,7 @@ using testing_util::MakeLineWithReq;
 using testing_util::SmallSynthetic;
 
 // Compact deterministic dataset: three groups of three co-travelling lines,
-// all inside [0, 290] s, so a 100 s window yields exactly three windows and
-// every fragment is clusterable under k=2, delta=300.
+// all inside [0, 290] s, clusterable under k=2, delta=300.
 Dataset CompactDataset() {
   std::vector<Trajectory> trajectories;
   int64_t id = 0;
@@ -67,16 +65,6 @@ void ExpectDatasetsIdentical(const Dataset& a, const Dataset& b) {
   }
 }
 
-uint64_t CounterValue(const telemetry::MetricsSnapshot& metrics,
-                      const std::string& name) {
-  for (const auto& [counter_name, value] : metrics.counters) {
-    if (counter_name == name) {
-      return value;
-    }
-  }
-  return 0;
-}
-
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -99,53 +87,6 @@ class CheckpointTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 // Codec round-trips.
 // ---------------------------------------------------------------------------
-
-TEST_F(CheckpointTest, StreamingCheckpointRoundTrips) {
-  StreamingCheckpoint original;
-  original.fingerprint = 0xdeadbeefcafef00dULL;
-  original.windows_done = 7;
-  original.next_fragment_id = 42;
-  original.suppressed_fragments = 3;
-  original.total_clusters = 11;
-  original.total_ttd = 0.1 + 0.2;  // not exactly 0.3 — must survive verbatim
-  original.degraded = true;
-  original.degraded_reason = "deadline exceeded: newline \n and spaces ok";
-  StreamingWindowSummary w;
-  w.window_start = 1.0 / 3.0;
-  w.input_fragments = 5;
-  w.published_fragments = 4;
-  w.clusters = 2;
-  w.ttd = 123.456789012345678;
-  w.skipped = false;
-  original.windows.push_back(w);
-  w.skipped = true;
-  original.windows.push_back(w);
-  Trajectory t = MakeLineWithReq(9, 0.125, -3.5, 0.1, 0.2, 4, 3, 250.0);
-  t.set_object_id(2);
-  t.set_parent_id(77);
-  original.published.push_back(t);
-  original.counters = {{"streaming.windows", 7}, {"odd name with spaces", 1}};
-
-  Result<StreamingCheckpoint> decoded =
-      DecodeStreamingCheckpoint(EncodeStreamingCheckpoint(original));
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->fingerprint, original.fingerprint);
-  EXPECT_EQ(decoded->windows_done, original.windows_done);
-  EXPECT_EQ(decoded->next_fragment_id, original.next_fragment_id);
-  EXPECT_EQ(decoded->suppressed_fragments, original.suppressed_fragments);
-  EXPECT_EQ(decoded->total_clusters, original.total_clusters);
-  EXPECT_EQ(decoded->total_ttd, original.total_ttd);
-  EXPECT_EQ(decoded->degraded, original.degraded);
-  EXPECT_EQ(decoded->degraded_reason, original.degraded_reason);
-  ASSERT_EQ(decoded->windows.size(), 2u);
-  EXPECT_EQ(decoded->windows[0].window_start, original.windows[0].window_start);
-  EXPECT_EQ(decoded->windows[0].ttd, original.windows[0].ttd);
-  EXPECT_FALSE(decoded->windows[0].skipped);
-  EXPECT_TRUE(decoded->windows[1].skipped);
-  ASSERT_EQ(decoded->published.size(), 1u);
-  ExpectTrajectoriesIdentical(decoded->published[0], t);
-  EXPECT_EQ(decoded->counters, original.counters);
-}
 
 TEST_F(CheckpointTest, WcopBCheckpointRoundTrips) {
   WcopBCheckpoint original;
@@ -201,35 +142,27 @@ TEST_F(CheckpointTest, WcopBCheckpointRoundTrips) {
 }
 
 TEST_F(CheckpointTest, DecodeRejectsGarbageAsDataLoss) {
-  Result<StreamingCheckpoint> streaming =
-      DecodeStreamingCheckpoint("not a checkpoint at all");
-  ASSERT_FALSE(streaming.ok());
-  EXPECT_EQ(streaming.status().code(), StatusCode::kDataLoss);
-
-  Result<WcopBCheckpoint> wcop_b = DecodeWcopBCheckpoint("");
-  ASSERT_FALSE(wcop_b.ok());
-  EXPECT_EQ(wcop_b.status().code(), StatusCode::kDataLoss);
+  for (const char* garbage : {"", "not a checkpoint at all"}) {
+    Result<WcopBCheckpoint> wcop_b = DecodeWcopBCheckpoint(garbage);
+    ASSERT_FALSE(wcop_b.ok()) << garbage;
+    EXPECT_EQ(wcop_b.status().code(), StatusCode::kDataLoss) << garbage;
+  }
 }
 
 TEST_F(CheckpointTest, DecodeRejectsTruncationAsDataLoss) {
-  StreamingCheckpoint checkpoint;
-  checkpoint.windows.push_back(StreamingWindowSummary{});
+  WcopBCheckpoint checkpoint;
+  checkpoint.rounds.push_back(WcopBRound{});
   checkpoint.counters = {{"a", 1}};
-  const std::string payload = EncodeStreamingCheckpoint(checkpoint);
+  const std::string payload = EncodeWcopBCheckpoint(checkpoint);
   for (size_t cut : {payload.size() - 1, payload.size() / 2, size_t{5}}) {
-    Result<StreamingCheckpoint> decoded =
-        DecodeStreamingCheckpoint(payload.substr(0, cut));
+    Result<WcopBCheckpoint> decoded =
+        DecodeWcopBCheckpoint(payload.substr(0, cut));
     ASSERT_FALSE(decoded.ok()) << "cut=" << cut;
     EXPECT_EQ(decoded.status().code(), StatusCode::kDataLoss) << "cut=" << cut;
   }
 }
 
 TEST_F(CheckpointTest, DecodeRejectsUnknownVersionAsFailedPrecondition) {
-  Result<StreamingCheckpoint> streaming =
-      DecodeStreamingCheckpoint("wcop-streaming-checkpoint 999\n");
-  ASSERT_FALSE(streaming.ok());
-  EXPECT_EQ(streaming.status().code(), StatusCode::kFailedPrecondition);
-
   Result<WcopBCheckpoint> wcop_b =
       DecodeWcopBCheckpoint("wcop-b-checkpoint 999\n");
   ASSERT_FALSE(wcop_b.ok());
@@ -248,16 +181,6 @@ TEST_F(CheckpointTest, FingerprintsAreSensitive) {
 
   EXPECT_NE(DatasetFingerprint(d), DatasetFingerprint(moved));
 
-  StreamingOptions streaming;
-  StreamingOptions wider = streaming;
-  wider.window_seconds *= 2.0;
-  EXPECT_EQ(StreamingConfigFingerprint(d, streaming),
-            StreamingConfigFingerprint(d, streaming));
-  EXPECT_NE(StreamingConfigFingerprint(d, streaming),
-            StreamingConfigFingerprint(d, wider));
-  EXPECT_NE(StreamingConfigFingerprint(d, streaming),
-            StreamingConfigFingerprint(moved, streaming));
-
   WcopOptions wcop;
   WcopBOptions b;
   WcopBOptions bigger_step = b;
@@ -266,182 +189,17 @@ TEST_F(CheckpointTest, FingerprintsAreSensitive) {
             WcopBConfigFingerprint(d, wcop, b));
   EXPECT_NE(WcopBConfigFingerprint(d, wcop, b),
             WcopBConfigFingerprint(d, wcop, bigger_step));
-  // Streaming and WCOP-B fingerprints live in different domains.
-  EXPECT_NE(StreamingConfigFingerprint(d, streaming),
-            WcopBConfigFingerprint(d, wcop, b));
-}
+  EXPECT_NE(WcopBConfigFingerprint(d, wcop, b),
+            WcopBConfigFingerprint(moved, wcop, b));
 
-// ---------------------------------------------------------------------------
-// Streaming interrupt/resume: a run killed right after its first checkpoint
-// resumes to output identical to an uninterrupted run.
-// ---------------------------------------------------------------------------
-
-TEST_F(CheckpointTest, StreamingResumeMatchesUninterruptedRun) {
-  const Dataset d = CompactDataset();
-  StreamingOptions options;
-  options.window_seconds = 100.0;
-
-  Result<StreamingResult> baseline = RunStreamingWcop(d, options);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  ASSERT_GT(baseline->windows.size(), 1u);
-
-  options.checkpoint_path = Path("stream.ckpt");
-  {
-    // Fail the run right after the first checkpoint lands on disk — the
-    // in-process analogue of a crash between windows.
-    ScopedFailpoint fp("streaming.checkpoint_saved",
-                       Status::Internal("simulated crash"), /*max_fires=*/1);
-    Result<StreamingResult> interrupted = RunStreamingWcop(d, options);
-    ASSERT_FALSE(interrupted.ok());
-    EXPECT_EQ(interrupted.status().code(), StatusCode::kInternal);
-  }
-  ASSERT_TRUE(std::filesystem::exists(options.checkpoint_path));
-
-  Result<StreamingResult> resumed = RunStreamingWcop(d, options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_TRUE(resumed->resumed);
-  EXPECT_EQ(resumed->resumed_windows, 1u);
-  ExpectDatasetsIdentical(resumed->sanitized, baseline->sanitized);
-  ASSERT_EQ(resumed->windows.size(), baseline->windows.size());
-  for (size_t i = 0; i < baseline->windows.size(); ++i) {
-    EXPECT_EQ(resumed->windows[i].window_start,
-              baseline->windows[i].window_start) << i;
-    EXPECT_EQ(resumed->windows[i].published_fragments,
-              baseline->windows[i].published_fragments) << i;
-    EXPECT_EQ(resumed->windows[i].ttd, baseline->windows[i].ttd) << i;
-  }
-  EXPECT_EQ(resumed->total_clusters, baseline->total_clusters);
-  EXPECT_EQ(resumed->total_ttd, baseline->total_ttd);
-  EXPECT_EQ(resumed->suppressed_fragments, baseline->suppressed_fragments);
-  EXPECT_FALSE(resumed->degraded);
-}
-
-TEST_F(CheckpointTest, StreamingRerunFromCompleteCheckpointSplicesEverything) {
-  const Dataset d = CompactDataset();
-  StreamingOptions options;
-  options.window_seconds = 100.0;
-  options.checkpoint_path = Path("stream.ckpt");
-
-  Result<StreamingResult> first = RunStreamingWcop(d, options);
-  ASSERT_TRUE(first.ok()) << first.status();
-  EXPECT_FALSE(first->resumed);
-
-  Result<StreamingResult> rerun = RunStreamingWcop(d, options);
-  ASSERT_TRUE(rerun.ok()) << rerun.status();
-  EXPECT_TRUE(rerun->resumed);
-  EXPECT_EQ(rerun->resumed_windows, first->windows.size());
-  ExpectDatasetsIdentical(rerun->sanitized, first->sanitized);
-  EXPECT_EQ(rerun->total_ttd, first->total_ttd);
-}
-
-TEST_F(CheckpointTest, StreamingRejectsForeignCheckpoint) {
-  const Dataset d = CompactDataset();
-  StreamingOptions options;
-  options.window_seconds = 100.0;
-  options.checkpoint_path = Path("stream.ckpt");
-  ASSERT_TRUE(RunStreamingWcop(d, options).ok());
-
-  // Same checkpoint, different window partition: refuse, loudly.
-  StreamingOptions different = options;
-  different.window_seconds = 50.0;
-  Result<StreamingResult> r = RunStreamingWcop(d, different);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition) << r.status();
-
-  // Different dataset, same options: also refused.
-  Result<StreamingResult> r2 = RunStreamingWcop(SmallSynthetic(10, 30),
-                                                options);
-  ASSERT_FALSE(r2.ok());
-  EXPECT_EQ(r2.status().code(), StatusCode::kFailedPrecondition);
-}
-
-TEST_F(CheckpointTest, StreamingDiscardsCorruptCheckpointPayload) {
-  const Dataset d = CompactDataset();
-  StreamingOptions options;
-  options.window_seconds = 100.0;
-  options.checkpoint_path = Path("stream.ckpt");
-
-  Result<StreamingResult> baseline = RunStreamingWcop(d, options);
-  ASSERT_TRUE(baseline.ok());
-  std::filesystem::remove(options.checkpoint_path);
-  std::filesystem::remove(options.checkpoint_path + ".prev");
-
-  // Valid snapshot envelopes whose payloads are not checkpoints (both depth
-  // levels, so the fallback cannot save us): the driver must recompute from
-  // scratch instead of trusting them.
-  ASSERT_TRUE(WriteSnapshotRotating(options.checkpoint_path, "garbage",
-                                    kStreamingCheckpointVersion).ok());
-  ASSERT_TRUE(WriteSnapshotRotating(options.checkpoint_path, "more garbage",
-                                    kStreamingCheckpointVersion).ok());
-
-  Result<StreamingResult> fresh = RunStreamingWcop(d, options);
-  ASSERT_TRUE(fresh.ok()) << fresh.status();
-  EXPECT_FALSE(fresh->resumed);
-  ExpectDatasetsIdentical(fresh->sanitized, baseline->sanitized);
-}
-
-TEST_F(CheckpointTest, StreamingResumeSplicesTelemetryCounters) {
-  const Dataset d = CompactDataset();
-  StreamingOptions options;
-  options.window_seconds = 100.0;
-
-  telemetry::Telemetry baseline_tel;
-  options.wcop.telemetry = &baseline_tel;
-  Result<StreamingResult> baseline = RunStreamingWcop(d, options);
-  ASSERT_TRUE(baseline.ok());
-  const uint64_t baseline_windows =
-      CounterValue(baseline->metrics, "streaming.windows");
-  ASSERT_GT(baseline_windows, 1u);
-
-  options.checkpoint_path = Path("stream.ckpt");
-  telemetry::Telemetry crashed_tel;
-  options.wcop.telemetry = &crashed_tel;
-  {
-    ScopedFailpoint fp("streaming.checkpoint_saved",
-                       Status::Internal("simulated crash"), /*max_fires=*/1);
-    ASSERT_FALSE(RunStreamingWcop(d, options).ok());
-  }
-
-  // The resumed process gets a fresh sink (as a real restart would); the
-  // spliced counters must cover the whole logical stream, not this process.
-  telemetry::Telemetry resumed_tel;
-  options.wcop.telemetry = &resumed_tel;
-  Result<StreamingResult> resumed = RunStreamingWcop(d, options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_EQ(CounterValue(resumed->metrics, "streaming.windows"),
-            baseline_windows);
-  EXPECT_EQ(CounterValue(resumed->metrics, "checkpoint.resumes"), 1u);
-}
-
-// A stream-level context trip is process-local: the checkpoint written on
-// the way out must NOT be marked degraded, so the restarted run (fresh
-// context) finishes clean and identical to an uninterrupted one.
-TEST_F(CheckpointTest, StreamingDegradedTripIsNotPersisted) {
-  const Dataset d = CompactDataset();
-  StreamingOptions options;
-  options.window_seconds = 100.0;
-
-  Result<StreamingResult> baseline = RunStreamingWcop(d, options);
-  ASSERT_TRUE(baseline.ok());
-
-  options.checkpoint_path = Path("stream.ckpt");
-  options.wcop.allow_partial_results = true;
-  CancellationToken token;
-  token.RequestCancellation();
-  RunContext cancelled;
-  cancelled.set_cancellation_token(token);
-  options.wcop.run_context = &cancelled;
-
-  Result<StreamingResult> tripped = RunStreamingWcop(d, options);
-  ASSERT_TRUE(tripped.ok()) << tripped.status();
-  EXPECT_TRUE(tripped->degraded);
-
-  options.wcop.run_context = nullptr;
-  Result<StreamingResult> resumed = RunStreamingWcop(d, options);
-  ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_TRUE(resumed->resumed);
-  EXPECT_FALSE(resumed->degraded) << resumed->degraded_reason;
-  ExpectDatasetsIdentical(resumed->sanitized, baseline->sanitized);
+  // Determinism-relevant options change the options fingerprint; threads
+  // never change published bytes, so they do not.
+  WcopOptions reseeded = wcop;
+  reseeded.seed = wcop.seed + 1;
+  WcopOptions threaded = wcop;
+  threaded.threads = 8;
+  EXPECT_NE(WcopOptionsFingerprint(wcop), WcopOptionsFingerprint(reseeded));
+  EXPECT_EQ(WcopOptionsFingerprint(wcop), WcopOptionsFingerprint(threaded));
 }
 
 // ---------------------------------------------------------------------------
@@ -612,7 +370,7 @@ std::string LegacySpelling(std::string_view text) {
   return out;
 }
 
-// The streaming / WCOP-B payloads end in "end <020-digit byte count>\n";
+// WCOP-B payloads end in "end <020-digit byte count>\n";
 // a legacy payload carries its own (longer) count.
 std::string LegacyCheckpointPayload(const std::string& payload) {
   constexpr size_t kTrailer = 25;
@@ -623,41 +381,26 @@ std::string LegacyCheckpointPayload(const std::string& payload) {
   return body + trailer;
 }
 
-TEST_F(CheckpointTest, LegacyStreamingAndWcopBCheckpointsDecode) {
-  StreamingCheckpoint streaming;
-  streaming.fingerprint = 77;
-  streaming.total_ttd = 0.1 + 0.2;
-  StreamingWindowSummary w;
-  w.window_start = 1.0 / 3.0;
-  w.ttd = 0.1;
-  streaming.windows.push_back(w);
-  Trajectory t = MakeLineWithReq(9, 0.1, -3.3, 0.1, 0.7, 5, 3, 0.3);
-  streaming.published.push_back(t);
-  const std::string current = EncodeStreamingCheckpoint(streaming);
-  const std::string legacy = LegacyCheckpointPayload(current);
-  ASSERT_NE(legacy, current);
-  Result<StreamingCheckpoint> decoded = DecodeStreamingCheckpoint(legacy);
-  ASSERT_TRUE(decoded.ok()) << decoded.status();
-  EXPECT_EQ(decoded->total_ttd, streaming.total_ttd);
-  ASSERT_EQ(decoded->windows.size(), 1u);
-  EXPECT_EQ(decoded->windows[0].window_start, w.window_start);
-  EXPECT_EQ(decoded->windows[0].ttd, w.ttd);
-  ASSERT_EQ(decoded->published.size(), 1u);
-  ExpectTrajectoriesIdentical(decoded->published[0], t);
-  // Re-encoding gives the current spelling back: the bits are identical.
-  EXPECT_EQ(EncodeStreamingCheckpoint(*decoded), current);
-
+TEST_F(CheckpointTest, LegacyWcopBCheckpointDecodes) {
+  const Trajectory t = MakeLineWithReq(9, 0.1, -3.3, 0.1, 0.7, 5, 3, 0.3);
   WcopBCheckpoint wcop_b;
   WcopBRound round;
   round.ttd = 0.1;
   round.total_distortion = 2.0 / 3.0;
   wcop_b.rounds.push_back(round);
   wcop_b.anonymization.sanitized = Dataset({t});
-  const std::string b_current = EncodeWcopBCheckpoint(wcop_b);
-  Result<WcopBCheckpoint> b_decoded =
-      DecodeWcopBCheckpoint(LegacyCheckpointPayload(b_current));
-  ASSERT_TRUE(b_decoded.ok()) << b_decoded.status();
-  EXPECT_EQ(EncodeWcopBCheckpoint(*b_decoded), b_current);
+  const std::string current = EncodeWcopBCheckpoint(wcop_b);
+  const std::string legacy = LegacyCheckpointPayload(current);
+  ASSERT_NE(legacy, current);
+  Result<WcopBCheckpoint> decoded = DecodeWcopBCheckpoint(legacy);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  ASSERT_EQ(decoded->rounds.size(), 1u);
+  EXPECT_EQ(decoded->rounds[0].ttd, round.ttd);
+  EXPECT_EQ(decoded->rounds[0].total_distortion, round.total_distortion);
+  ExpectDatasetsIdentical(decoded->anonymization.sanitized,
+                          wcop_b.anonymization.sanitized);
+  // Re-encoding gives the current spelling back: the bits are identical.
+  EXPECT_EQ(EncodeWcopBCheckpoint(*decoded), current);
 }
 
 TEST_F(CheckpointTest, LegacyWindowManifestLoads) {
@@ -772,9 +515,11 @@ TEST_F(CheckpointTest, MalformedNumbersAreRejectedNotMisread) {
         << bad;
   }
 
-  StreamingCheckpoint streaming;
-  streaming.total_ttd = 0.5;
-  const std::string payload = EncodeStreamingCheckpoint(streaming);
+  WcopBCheckpoint wcop_b;
+  WcopBRound round;
+  round.ttd = 0.5;
+  wcop_b.rounds.push_back(round);
+  const std::string payload = EncodeWcopBCheckpoint(wcop_b);
   const size_t ttd_at = payload.find(" 0.5 ");
   ASSERT_NE(ttd_at, std::string::npos);
   std::string damaged = payload;
@@ -782,7 +527,7 @@ TEST_F(CheckpointTest, MalformedNumbersAreRejectedNotMisread) {
   // Keep the byte count honest so only the number is wrong.
   damaged = LegacyCheckpointPayload(
       damaged.substr(0, damaged.size() - 25) + "end 00000000000000000000\n");
-  EXPECT_EQ(DecodeStreamingCheckpoint(damaged).status().code(),
+  EXPECT_EQ(DecodeWcopBCheckpoint(damaged).status().code(),
             StatusCode::kDataLoss);
 }
 

@@ -3,10 +3,9 @@
 //
 // The binary doubles as its own crash victim. Invoked as
 //
-//   crash_recovery_test --child=streaming <checkpoint_path> <out_path>
-//   crash_recovery_test --child=wcopb     <checkpoint_path> <out_path>
+//   crash_recovery_test --child=wcopb <checkpoint_path> <out_path>
 //
-// it runs one deterministic anonymization pipeline to completion, audits
+// it runs one deterministic WCOP-B sweep to completion, audits
 // the published output from the outside (effective anonymity >= declared
 // k), and writes an exact (%.17g) dump of the result to <out_path>.
 //
@@ -16,8 +15,9 @@
 //      leaving whatever checkpoint state the crash interleaving produced;
 //   3. restart: same checkpoint path, no failpoints -> must exit cleanly
 //      with a dump byte-identical to the baseline.
-// Any torn checkpoint, double-counted window, or drifted double shows up as
-// a byte diff.
+// Any torn checkpoint, double-counted round, or drifted double shows up as
+// a byte diff. The continuous pipeline has its own harness in
+// pipeline_chaos_test.cc.
 
 #include <signal.h>
 #include <sys/types.h>
@@ -35,37 +35,17 @@
 #include <vector>
 
 #include "anon/effective_anonymity.h"
-#include "anon/streaming.h"
 #include "anon/wcop_b.h"
 #include "test_util.h"
 
 namespace wcop {
 namespace {
 
-using testing_util::MakeLineWithReq;
 using testing_util::SmallSynthetic;
 
 // ---------------------------------------------------------------------------
-// Shared between parent and child: the deterministic workloads.
+// Shared between parent and child.
 // ---------------------------------------------------------------------------
-
-// Three groups of three co-travelling lines inside [0, 290] s: a 100 s
-// window yields exactly three windows, three checkpoints at cadence 1.
-Dataset StreamingDataset() {
-  std::vector<Trajectory> trajectories;
-  int64_t id = 0;
-  for (int g = 0; g < 3; ++g) {
-    for (int i = 0; i < 3; ++i) {
-      Trajectory t = MakeLineWithReq(id, 2000.0 * g, 30.0 * i, 5.0, 0.0,
-                                     /*n=*/30, /*k=*/2, /*delta=*/300.0,
-                                     /*dt=*/10.0);
-      t.set_object_id(id);
-      trajectories.push_back(std::move(t));
-      ++id;
-    }
-  }
-  return Dataset(std::move(trajectories));
-}
 
 // Exact textual dump: %.17g round-trips doubles, so two dumps are equal iff
 // the underlying results are bitwise equal.
@@ -108,38 +88,6 @@ int AuditOrFail(const Dataset& published) {
     return 3;
   }
   return 0;
-}
-
-int RunStreamingChild(const std::string& checkpoint_path,
-                      const std::string& out_path) {
-  StreamingOptions options;
-  options.window_seconds = 100.0;
-  options.checkpoint_path = checkpoint_path;
-  Result<StreamingResult> result = RunStreamingWcop(StreamingDataset(),
-                                                    options);
-  if (!result.ok()) {
-    std::fprintf(stderr, "child: streaming failed: %s\n",
-                 result.status().ToString().c_str());
-    return 2;
-  }
-  if (int rc = AuditOrFail(result->sanitized); rc != 0) {
-    return rc;
-  }
-  std::string dump;
-  char buf[256];
-  DumpDataset(result->sanitized, &dump);
-  for (const StreamingWindowSummary& w : result->windows) {
-    std::snprintf(buf, sizeof(buf), "window %.17g %zu %zu %zu %.17g %d\n",
-                  w.window_start, w.input_fragments, w.published_fragments,
-                  w.clusters, w.ttd, w.skipped ? 1 : 0);
-    dump.append(buf);
-  }
-  std::snprintf(buf, sizeof(buf),
-                "totals clusters=%zu suppressed=%zu ttd=%.17g degraded=%d\n",
-                result->total_clusters, result->suppressed_fragments,
-                result->total_ttd, result->degraded ? 1 : 0);
-  dump.append(buf);
-  return WriteDump(out_path, dump);
 }
 
 int RunWcopBChild(const std::string& checkpoint_path,
@@ -277,23 +225,6 @@ class CrashRecoveryTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-// Streaming: three windows, checkpoint after each. Crash inside the atomic
-// write (temp-open, body write, pre-fsync, pre-rename), right after a
-// checkpoint commits, and at a window boundary with one checkpoint on disk.
-TEST_F(CrashRecoveryTest, StreamingSurvivesKillAtEverySite) {
-  RunKillMatrix("streaming", {
-                                 "snapshot.open_temp:abort@1",
-                                 "snapshot.write:abort@2",
-                                 "snapshot.fsync:abort@1",
-                                 "snapshot.fsync:abort@3",
-                                 "snapshot.rename:abort@2",
-                                 "streaming.checkpoint_saved:abort@1",
-                                 "streaming.checkpoint_saved:abort@2",
-                                 "streaming.window:abort@2",
-                                 "streaming.window:abort@3",
-                             });
-}
-
 // WCOP-B: three editing rounds, checkpoint after each, the third terminal.
 TEST_F(CrashRecoveryTest, WcopBSurvivesKillAtEverySite) {
   RunKillMatrix("wcopb", {
@@ -309,21 +240,21 @@ TEST_F(CrashRecoveryTest, WcopBSurvivesKillAtEverySite) {
 }
 
 // Crashing twice in a row (restart crashes too, later) still converges.
-TEST_F(CrashRecoveryTest, StreamingSurvivesRepeatedCrashes) {
+TEST_F(CrashRecoveryTest, WcopBSurvivesRepeatedCrashes) {
   const std::string baseline_out = Path("baseline.dump");
-  ASSERT_EQ(SpawnChild("streaming", "", baseline_out, "").exit_code, 0);
+  ASSERT_EQ(SpawnChild("wcopb", "", baseline_out, "").exit_code, 0);
   const std::string expected = ReadFileBytes(baseline_out);
 
   const std::string checkpoint = Path("ckpt");
   const std::string out = Path("out");
   const ChildOutcome first =
-      SpawnChild("streaming", checkpoint, out, "snapshot.rename:abort@1");
+      SpawnChild("wcopb", checkpoint, out, "snapshot.rename:abort@1");
   ASSERT_TRUE(first.signalled);
   const ChildOutcome second =
-      SpawnChild("streaming", checkpoint, out, "snapshot.rename:abort@2");
+      SpawnChild("wcopb", checkpoint, out, "snapshot.rename:abort@2");
   ASSERT_TRUE(second.signalled);
 
-  const ChildOutcome restart = SpawnChild("streaming", checkpoint, out, "");
+  const ChildOutcome restart = SpawnChild("wcopb", checkpoint, out, "");
   ASSERT_EQ(restart.exit_code, 0);
   EXPECT_EQ(ReadFileBytes(out), expected);
 }
@@ -335,9 +266,6 @@ TEST_F(CrashRecoveryTest, StreamingSurvivesRepeatedCrashes) {
 int main(int argc, char** argv) {
   if (argc == 4 && std::string(argv[1]).rfind("--child=", 0) == 0) {
     const std::string mode = std::string(argv[1]).substr(8);
-    if (mode == "streaming") {
-      return wcop::RunStreamingChild(argv[2], argv[3]);
-    }
     if (mode == "wcopb") {
       return wcop::RunWcopBChild(argv[2], argv[3]);
     }

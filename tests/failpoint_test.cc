@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <string>
 
-#include "anon/streaming.h"
 #include "common/snapshot.h"
 #include "anon/wcop_b.h"
 #include "anon/wcop_ct.h"
@@ -345,16 +344,6 @@ TEST_F(FailpointTest, InjectConvoySnapshot) {
   options.snapshot_interval = 30.0;
   ScopedFailpoint fp("segment.convoy_snapshot", Status::Internal("injected"));
   Result<std::vector<Convoy>> result = DiscoverConvoys(d, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInternal) << result.status();
-}
-
-TEST_F(FailpointTest, InjectStreamingWindow) {
-  const Dataset d = SmallSynthetic(20, 60);
-  StreamingOptions options;
-  options.window_seconds = 200.0;
-  ScopedFailpoint fp("streaming.window", Status::Internal("injected"));
-  Result<StreamingResult> result = RunStreamingWcop(d, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kInternal) << result.status();
 }

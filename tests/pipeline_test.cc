@@ -7,15 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <cerrno>
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "anon/streaming.h"
 #include "common/failpoint.h"
 #include "common/retry.h"
+#include "common/rng.h"
+#include "common/run_context.h"
 #include "common/snapshot.h"
 #include "pipeline/continuous.h"
 #include "pipeline/manifest.h"
@@ -26,6 +30,7 @@
 namespace wcop {
 namespace {
 
+using testing_util::GapDataset;
 using testing_util::MakeLineWithReq;
 
 namespace fs = std::filesystem;
@@ -45,6 +50,18 @@ Dataset GroupedDataset() {
       ++id;
     }
   }
+  return Dataset(std::move(trajectories));
+}
+
+// GroupedDataset plus a one-sample straggler at t = 50 that ends there:
+// window 0 suppresses it for good.
+Dataset GroupedDatasetWithStraggler() {
+  std::vector<Trajectory> trajectories = GroupedDataset().trajectories();
+  Trajectory straggler = MakeLineWithReq(9, 9000.0, 0.0, 5.0, 0.0, /*n=*/1,
+                                         /*k=*/2, /*delta=*/300.0,
+                                         /*dt=*/10.0, /*t0=*/50.0);
+  straggler.set_object_id(9);
+  trajectories.push_back(std::move(straggler));
   return Dataset(std::move(trajectories));
 }
 
@@ -107,11 +124,28 @@ class PipelineTest : public ::testing::Test {
 };
 
 // ---------------------------------------------------------------------------
-// Window-iterator core (anon/streaming.h).
+// Window-iterator core (store/window_io.h).
 // ---------------------------------------------------------------------------
 
+// Reference window count: one step per window, failing at the first window
+// that does not advance. Gives up (nullopt) after `max_steps` windows.
+std::optional<Result<size_t>> ReferenceWindowCount(double t_min, double t_max,
+                                                   double w,
+                                                   size_t max_steps) {
+  auto start = [&](size_t i) { return t_min + static_cast<double>(i) * w; };
+  for (size_t n = 0; n < max_steps; ++n) {
+    if (start(n) > t_max) {
+      return Result<size_t>(n);
+    }
+    if (start(n + 1) <= start(n)) {
+      return Result<size_t>(Status::InvalidArgument("grid cannot advance"));
+    }
+  }
+  return std::nullopt;
+}
+
 TEST_F(PipelineTest, PlanWindowsCoversTheWholeLifetime) {
-  const Result<WindowPlan> plan = PlanWindows(0.0, 290.0, 100.0);
+  const Result<store::WindowPlan> plan = store::PlanWindows(0.0, 290.0, 100.0);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->num_windows, 3u);
   EXPECT_EQ(plan->WindowStart(0), 0.0);
@@ -119,21 +153,113 @@ TEST_F(PipelineTest, PlanWindowsCoversTheWholeLifetime) {
   // The last sample (t = 290) falls inside the final window.
   EXPECT_LT(plan->WindowStart(2), 290.0);
   EXPECT_GT(plan->WindowStart(3), 290.0);
+
+  // A t_max exactly on a window start opens that window: it holds t_max.
+  EXPECT_EQ(store::PlanWindows(0.0, 300.0, 100.0)->num_windows, 4u);
+  EXPECT_EQ(store::PlanWindows(5.0, 5.0, 100.0)->num_windows, 1u);
+  // Inexact 0.1 s steps: the quotient (t_max - t_min) / 0.1 lands on both
+  // sides of k for some of these k, so the count needs its correction in
+  // both directions.
+  for (const double t_min : {0.0, 1.7e9}) {
+    const store::WindowPlan grid = *store::PlanWindows(t_min, t_min, 0.1);
+    for (size_t k = 1; k <= 100; ++k) {
+      const double start = grid.WindowStart(k);
+      EXPECT_EQ(store::PlanWindows(t_min, start, 0.1)->num_windows, k + 1)
+          << t_min << " " << k;
+      EXPECT_EQ(store::PlanWindows(t_min, std::nextafter(start, 0.0), 0.1)
+                    ->num_windows,
+                k)
+          << t_min << " " << k;
+    }
+  }
+
+  // ~1.1e12 windows of 2^-10 s over [2^30, 2^31] (Unix-time magnitude):
+  // every grid point is exact, so the count is known, and it comes back
+  // without a step per window.
+  const Result<store::WindowPlan> fine =
+      store::PlanWindows(std::ldexp(1.0, 30), std::ldexp(1.0, 31),
+                         std::ldexp(1.0, -10));
+  ASSERT_TRUE(fine.ok()) << fine.status();
+  EXPECT_EQ(fine->num_windows, (size_t{1} << 40) + 1);
+
+  // Seeded brute force over magnitudes from 0 to 2^60 and widths from far
+  // above the timestamps' ulp down to a fraction of it, where the grid
+  // stalls: the closed form must count and reject exactly like stepping.
+  Rng rng(2024);
+  const double magnitudes[] = {0.0,  1.0,    -1e3, 1.7e9,
+                               -1.7e9, 1e15, 4.5e15, 1e18,
+                               std::ldexp(1.0, 60)};
+  const double ulp_factors[] = {0.3, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 4.0};
+  size_t compared = 0;
+  size_t rejected = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const double base = magnitudes[rng.UniformInt(0, 8)];
+    const double t_min = base * (1.0 + 1e-3 * rng.UniformReal(-1.0, 1.0));
+    const double ulp =
+        std::nextafter(std::fabs(t_min), INFINITY) - std::fabs(t_min);
+    double w = 0.0;
+    switch (rng.UniformInt(0, 2)) {
+      case 0:  // a multiple of the ulp, near where the grid stalls
+        w = ulp * ulp_factors[rng.UniformInt(0, 7)];
+        break;
+      case 1:  // a few ulps, not a clean multiple
+        w = ulp * rng.UniformReal(0.2, 8.0);
+        break;
+      default:  // an everyday width
+        w = std::pow(10.0, rng.UniformReal(-3.0, 4.0));
+        break;
+    }
+    const double t_max = t_min + w * rng.UniformReal(0.0, 5000.0);
+    const std::optional<Result<size_t>> expected =
+        ReferenceWindowCount(t_min, t_max, w, 1u << 20);
+    if (!expected.has_value()) {
+      continue;
+    }
+    const Result<store::WindowPlan> plan = store::PlanWindows(t_min, t_max, w);
+    SCOPED_TRACE(::testing::Message() << std::hexfloat << "t_min=" << t_min
+                                      << " t_max=" << t_max << " w=" << w);
+    ASSERT_EQ(plan.ok(), expected->ok()) << plan.status();
+    if (plan.ok()) {
+      EXPECT_EQ(plan->num_windows, **expected);
+    } else {
+      EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+      ++rejected;
+    }
+    ++compared;
+  }
+  // Both outcomes were exercised, not just the easy one.
+  EXPECT_GT(compared, 3000u);
+  EXPECT_GT(rejected, 100u);
+  EXPECT_LT(rejected, compared - 1000);
 }
 
 TEST_F(PipelineTest, PlanWindowsRejectsBadWidths) {
-  EXPECT_FALSE(PlanWindows(0.0, 10.0, 0.0).ok());
-  EXPECT_FALSE(PlanWindows(0.0, 10.0, -1.0).ok());
+  EXPECT_FALSE(store::PlanWindows(0.0, 10.0, 0.0).ok());
+  EXPECT_FALSE(store::PlanWindows(0.0, 10.0, -1.0).ok());
+  EXPECT_FALSE(store::PlanWindows(0.0, 10.0, NAN).ok());
+  EXPECT_FALSE(store::PlanWindows(0.0, 10.0, INFINITY).ok());
+  EXPECT_FALSE(store::PlanWindows(10.0, 0.0, 1.0).ok());
+  EXPECT_FALSE(store::PlanWindows(0.0, INFINITY, 1.0).ok());
   // A width below 1 ulp of t_min cannot advance the grid.
-  EXPECT_FALSE(PlanWindows(1e18, 1e18 + 10.0, 1e-6).ok());
+  EXPECT_FALSE(store::PlanWindows(1e18, 1e18 + 10.0, 1e-6).ok());
+  // At 0.75 ulp the grid advances on most steps but stalls on one: the
+  // third step of 2^52 + 0.75 i rounds back onto the second (ties to even).
+  const double t0 = std::ldexp(1.0, 52);
+  EXPECT_FALSE(store::PlanWindows(t0, t0 + 3.0, 0.75).ok());
+  // At exactly one ulp every grid point is exact and the plan succeeds.
+  EXPECT_EQ(store::PlanWindows(t0, t0 + 3.0, 1.0)->num_windows, 4u);
+  // Timestamps within +-1.5 * 2^52 have an ulp of at most 1, but offsets
+  // i * 1.5 past 2^53 round to even numbers: near window 6.0e15 the grid
+  // stalls, and the plan is rejected without stepping there.
+  EXPECT_FALSE(store::PlanWindows(-t0, 1.5 * t0, 1.5).ok());
 }
 
 TEST_F(PipelineTest, SliceIsHalfOpen) {
   const Trajectory t = MakeLineWithReq(1, 0, 0, 1, 0, /*n=*/5, 2, 100.0,
                                        /*dt=*/10.0);  // t = 0..40
-  EXPECT_EQ(SlicePointsInWindow(t, 0.0, 20.0).size(), 2u);   // 0, 10
-  EXPECT_EQ(SlicePointsInWindow(t, 20.0, 50.0).size(), 3u);  // 20, 30, 40
-  EXPECT_TRUE(SlicePointsInWindow(t, 100.0, 200.0).empty());
+  EXPECT_EQ(store::SlicePointsInWindow(t, 0.0, 20.0).size(), 2u);  // 0, 10
+  EXPECT_EQ(store::SlicePointsInWindow(t, 20.0, 50.0).size(), 3u);  // 20-40
+  EXPECT_TRUE(store::SlicePointsInWindow(t, 100.0, 200.0).empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -150,6 +276,7 @@ TEST_F(PipelineTest, ExtractWindowSpillsAndMergesCarry) {
     pts.emplace_back(5.0 * i, 0.0, 90.0 + 10.0 * i);  // t = 90..190
   }
   trajectories.emplace_back(1, pts, Requirement{3, 120.0});
+  trajectories.back().set_object_id(42);
   const std::string source = WriteSource(Dataset(std::move(trajectories)));
   Result<store::TrajectoryStoreReader> reader =
       store::TrajectoryStoreReader::Open(source);
@@ -190,31 +317,50 @@ TEST_F(PipelineTest, ExtractWindowSpillsAndMergesCarry) {
   EXPECT_EQ(merged->size(), 11u);
   EXPECT_EQ(merged->points().front().t, 90.0);
   EXPECT_EQ(merged->id(), 100);
+  EXPECT_EQ(merged->parent_id(), 1);
+  EXPECT_EQ(merged->object_id(), 42);
   EXPECT_EQ(merged->requirement().k, 3);
   EXPECT_EQ(merged->requirement().delta, 120.0);
 }
 
 TEST_F(PipelineTest, ExtractWindowSuppressesShortFinalFragment) {
-  // One sample at t=95 and the trajectory ends there: nothing to carry
-  // into, so the fragment is suppressed for good.
+  // Both trajectories end inside window [0, 100), so a short fragment has
+  // nothing to carry into and is suppressed for good: one sample at t=95,
+  // and four samples at t=60..90.
   std::vector<Trajectory> trajectories;
   std::vector<Point> pts = {{0.0, 0.0, 95.0}};
   trajectories.emplace_back(1, pts, Requirement{2, 100.0});
+  trajectories.push_back(MakeLineWithReq(2, 0.0, 30.0, 5.0, 0.0, /*n=*/4,
+                                         /*k=*/2, /*delta=*/100.0,
+                                         /*dt=*/10.0, /*t0=*/60.0));
   const std::string source = WriteSource(Dataset(std::move(trajectories)));
   Result<store::TrajectoryStoreReader> reader =
       store::TrajectoryStoreReader::Open(source);
   ASSERT_TRUE(reader.ok());
 
-  store::WindowExtractOptions w;
-  w.window_start = 0.0;
-  w.window_end = 100.0;
-  w.window_out_path = Path("win.wst");
-  w.carry_out_path = Path("carry.wst");
-  Result<store::WindowExtraction> stats = ExtractWindow(*reader, w);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_EQ(stats->fragments, 0u);
-  EXPECT_EQ(stats->carried_out, 0u);
-  EXPECT_EQ(stats->suppressed, 1u);
+  // A fragment with exactly min_fragment_points points is kept; 0 and 1
+  // both admit single-point fragments.
+  struct Case {
+    size_t min_points;
+    size_t fragments;
+    size_t suppressed;
+  };
+  for (const Case& c : {Case{0, 2, 0}, Case{1, 2, 0}, Case{2, 1, 1},
+                        Case{4, 1, 1}, Case{5, 0, 2}}) {
+    SCOPED_TRACE(c.min_points);
+    const std::string tag = std::to_string(c.min_points);
+    store::WindowExtractOptions w;
+    w.window_start = 0.0;
+    w.window_end = 100.0;
+    w.min_fragment_points = c.min_points;
+    w.window_out_path = Path("win_" + tag + ".wst");
+    w.carry_out_path = Path("carry_" + tag + ".wst");
+    Result<store::WindowExtraction> stats = ExtractWindow(*reader, w);
+    ASSERT_TRUE(stats.ok());
+    EXPECT_EQ(stats->fragments, c.fragments);
+    EXPECT_EQ(stats->carried_out, 0u);
+    EXPECT_EQ(stats->suppressed, c.suppressed);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -273,7 +419,8 @@ TEST_F(PipelineTest, ManifestDecodeFailuresAreDataLoss) {
 // ---------------------------------------------------------------------------
 
 TEST_F(PipelineTest, PublishesEveryWindowWithValidManifests) {
-  const std::string source = WriteSource(GroupedDataset());
+  const Dataset source_data = GroupedDataset();
+  const std::string source = WriteSource(source_data);
   pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
   Result<pipeline::ContinuousPipelineResult> result =
       pipeline::RunContinuousPipeline(options);
@@ -304,6 +451,17 @@ TEST_F(PipelineTest, PublishesEveryWindowWithValidManifests) {
         store::TrajectoryStoreReader::Open(store_path);
     ASSERT_TRUE(window.ok());
     EXPECT_EQ(window->size(), manifest->published_fragments);
+    // Every published fragment links back to its source trajectory and
+    // keeps that user's object id and (k, delta).
+    for (size_t i = 0; i < window->size(); ++i) {
+      Result<Trajectory> fragment = window->Read(i);
+      ASSERT_TRUE(fragment.ok());
+      const Trajectory* parent = source_data.FindById(fragment->parent_id());
+      ASSERT_NE(parent, nullptr) << fragment->parent_id();
+      EXPECT_EQ(fragment->object_id(), parent->object_id());
+      EXPECT_EQ(fragment->requirement().k, parent->requirement().k);
+      EXPECT_EQ(fragment->requirement().delta, parent->requirement().delta);
+    }
   }
 }
 
@@ -334,9 +492,12 @@ TEST_F(PipelineTest, ResumeAdoptsAllPublishedWindowsWithoutRecompute) {
 }
 
 TEST_F(PipelineTest, ResumeRecomputesTornLastWindowByteIdentically) {
-  const std::string source = WriteSource(GroupedDataset());
+  const std::string source = WriteSource(GroupedDatasetWithStraggler());
   pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
-  ASSERT_TRUE(pipeline::RunContinuousPipeline(options).ok());
+  Result<pipeline::ContinuousPipelineResult> first =
+      pipeline::RunContinuousPipeline(options);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_GT(first->suppressed_fragments, 0u);
   const std::map<std::string, std::string> published = PublishedBytes("out");
 
   // Tear the final window's output store (truncate) — the CRC check must
@@ -352,13 +513,17 @@ TEST_F(PipelineTest, ResumeRecomputesTornLastWindowByteIdentically) {
       pipeline::RunContinuousPipeline(options);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed->resumed_windows, 2u);
+  EXPECT_EQ(resumed->suppressed_fragments, first->suppressed_fragments);
   EXPECT_EQ(PublishedBytes("out"), published);
 }
 
 TEST_F(PipelineTest, ResumeRecomputesTornMiddleWindowByteIdentically) {
-  const std::string source = WriteSource(GroupedDataset());
+  const std::string source = WriteSource(GroupedDatasetWithStraggler());
   pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
-  ASSERT_TRUE(pipeline::RunContinuousPipeline(options).ok());
+  Result<pipeline::ContinuousPipelineResult> first =
+      pipeline::RunContinuousPipeline(options);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ASSERT_GT(first->suppressed_fragments, 0u);
   const std::map<std::string, std::string> published = PublishedBytes("out");
 
   // Tear a middle window. Its carry-in store is already past the two-window
@@ -375,6 +540,7 @@ TEST_F(PipelineTest, ResumeRecomputesTornMiddleWindowByteIdentically) {
       pipeline::RunContinuousPipeline(options);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_EQ(resumed->resumed_windows, 0u);
+  EXPECT_EQ(resumed->suppressed_fragments, first->suppressed_fragments);
   EXPECT_EQ(PublishedBytes("out"), published);
 }
 
@@ -465,6 +631,124 @@ TEST_F(PipelineTest, FailedShardAuditIsNeverPublished) {
   EXPECT_EQ(result.status().code(), StatusCode::kInternal);
   EXPECT_FALSE(fs::exists(Path("out/window_00000.mfr")));
   EXPECT_FALSE(fs::exists(Path("out/window_00000.wst")));
+}
+
+TEST_F(PipelineTest, EmptyWindowsCommitEmptyStoresAndResumeAcrossTheGap) {
+  const std::string source = WriteSource(GapDataset());
+  Result<pipeline::ContinuousPipelineResult> reference =
+      pipeline::RunContinuousPipeline(BaseOptions(source, "ref"));
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_EQ(reference->windows.size(), 4u);
+  EXPECT_GT(reference->windows[0].published_fragments, 0u);
+  EXPECT_GT(reference->windows[3].published_fragments, 0u);
+  for (const size_t wi : {size_t{1}, size_t{2}}) {
+    SCOPED_TRACE(wi);
+    const std::string name = "ref/window_0000" + std::to_string(wi);
+    Result<pipeline::WindowManifest> manifest =
+        pipeline::ReadWindowManifest(Path(name + ".mfr"));
+    ASSERT_TRUE(manifest.ok()) << manifest.status();
+    EXPECT_EQ(manifest->input_fragments, 0u);
+    EXPECT_EQ(manifest->published_fragments, 0u);
+    EXPECT_FALSE(manifest->skipped);
+    Result<store::TrajectoryStoreReader> window =
+        store::TrajectoryStoreReader::Open(Path(name + ".wst"));
+    ASSERT_TRUE(window.ok()) << window.status();
+    EXPECT_EQ(window->size(), 0u);
+    Result<pipeline::FileDigest> digest =
+        pipeline::DigestFile(Path(name + ".wst"));
+    ASSERT_TRUE(digest.ok());
+    EXPECT_EQ(digest->crc, manifest->output_crc);
+  }
+  const std::map<std::string, std::string> expected = PublishedBytes("ref");
+
+  // Fail inside the gap, after window 2's store but before its manifest,
+  // then resume: the empty windows resume like any other.
+  pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
+  FailpointRegistry::Instance().ArmErrno("pipeline.window_published", ENOSPC,
+                                         /*on_hit=*/3);
+  EXPECT_EQ(pipeline::RunContinuousPipeline(options).status().code(),
+            StatusCode::kIoError);
+  EXPECT_TRUE(fs::exists(Path("out/window_00001.mfr")));
+  EXPECT_FALSE(fs::exists(Path("out/window_00002.mfr")));
+  options.resume = true;
+  Result<pipeline::ContinuousPipelineResult> resumed =
+      pipeline::RunContinuousPipeline(options);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed->resumed_windows, 2u);
+  EXPECT_EQ(PublishedBytes("out"), expected);
+}
+
+TEST_F(PipelineTest, ExpiredDeadlineStopsBeforeTheFirstWindow) {
+  const std::string source = WriteSource(GapDataset());
+  RunContext expired;
+  expired.set_deadline(RunContext::Clock::now());
+  pipeline::ContinuousPipelineOptions options = BaseOptions(source, "out");
+  options.wcop.run_context = &expired;
+  Result<pipeline::ContinuousPipelineResult> strict =
+      pipeline::RunContinuousPipeline(options);
+  EXPECT_EQ(strict.status().code(), StatusCode::kDeadlineExceeded)
+      << strict.status();
+  EXPECT_TRUE(PublishedBytes("out").empty());
+
+  options.wcop.allow_partial_results = true;
+  Result<pipeline::ContinuousPipelineResult> partial =
+      pipeline::RunContinuousPipeline(options);
+  ASSERT_TRUE(partial.ok()) << partial.status();
+  EXPECT_TRUE(partial->degraded);
+  EXPECT_TRUE(partial->windows.empty());
+  EXPECT_EQ(partial->published_fragments, 0u);
+  EXPECT_TRUE(PublishedBytes("out").empty());
+}
+
+TEST_F(PipelineTest, CancellationBetweenWindowsIsNotDurable) {
+  // The token is cancelled once window 0 commits. The next window's yield
+  // point stops the run before the gap's empty windows publish anything;
+  // a resume without the context then finishes at full quality.
+  const std::string source = WriteSource(GapDataset());
+  ASSERT_TRUE(pipeline::RunContinuousPipeline(BaseOptions(source, "ref")).ok());
+  const std::map<std::string, std::string> expected = PublishedBytes("ref");
+
+  for (const bool allow_partial : {false, true}) {
+    SCOPED_TRACE(allow_partial);
+    const std::string out = allow_partial ? "partial" : "strict";
+    CancellationToken token;
+    // Heap-held: GCC 12 under -fsanitize=thread reports a false
+    // -Wmaybe-uninitialized for a stack RunContext taking a token.
+    auto context = std::make_unique<RunContext>();
+    context->set_cancellation_token(token);
+    pipeline::ContinuousPipelineOptions options = BaseOptions(source, out);
+    options.wcop.run_context = context.get();
+    options.wcop.allow_partial_results = allow_partial;
+    options.progress = [&token](const pipeline::PipelineProgress& p) {
+      if (p.windows_done == 1) {
+        token.RequestCancellation();
+      }
+    };
+    Result<pipeline::ContinuousPipelineResult> stopped =
+        pipeline::RunContinuousPipeline(options);
+    if (allow_partial) {
+      ASSERT_TRUE(stopped.ok()) << stopped.status();
+      EXPECT_TRUE(stopped->degraded);
+      EXPECT_EQ(stopped->windows.size(), 1u);
+    } else {
+      EXPECT_EQ(stopped.status().code(), StatusCode::kCancelled)
+          << stopped.status();
+    }
+    const std::map<std::string, std::string> committed = PublishedBytes(out);
+    ASSERT_EQ(committed.size(), 2u);
+    EXPECT_EQ(committed.count("window_00000.mfr"), 1u);
+    EXPECT_EQ(committed.count("window_00000.wst"), 1u);
+
+    options.wcop.run_context = nullptr;
+    options.progress = nullptr;
+    options.resume = true;
+    Result<pipeline::ContinuousPipelineResult> resumed =
+        pipeline::RunContinuousPipeline(options);
+    ASSERT_TRUE(resumed.ok()) << resumed.status();
+    EXPECT_EQ(resumed->resumed_windows, 1u);
+    EXPECT_FALSE(resumed->degraded);
+    EXPECT_EQ(PublishedBytes(out), expected);
+  }
 }
 
 TEST_F(PipelineTest, InjectedEnospcFailsWithoutRetryPolicy) {

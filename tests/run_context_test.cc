@@ -4,7 +4,6 @@
 
 #include <chrono>
 
-#include "anon/streaming.h"
 #include "anon/verifier.h"
 #include "anon/wcop_ct.h"
 #include "anon/wcop_nv.h"
@@ -236,33 +235,6 @@ TEST(RunContextTest, W4mHonoursCancellation) {
   Result<AnonymizationResult> result = RunW4m(d, 3, 200.0, options);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kCancelled) << result.status();
-}
-
-TEST(RunContextTest, StreamingDeadlineDegrades) {
-  const Dataset d = SmallSynthetic(40, 60);
-  RunContext context;
-  context.set_deadline_after(std::chrono::milliseconds(1));
-  StreamingOptions options;
-  options.window_seconds = 200.0;
-  options.wcop.run_context = &context;
-  options.wcop.allow_partial_results = true;
-  Result<StreamingResult> result = RunStreamingWcop(d, options);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_TRUE(result->degraded);
-  EXPECT_FALSE(result->degraded_reason.empty());
-}
-
-TEST(RunContextTest, StreamingDeadlineWithoutPartialResultsFails) {
-  const Dataset d = SmallSynthetic(40, 60);
-  RunContext context;
-  context.set_deadline_after(std::chrono::milliseconds(1));
-  StreamingOptions options;
-  options.window_seconds = 200.0;
-  options.wcop.run_context = &context;
-  Result<StreamingResult> result = RunStreamingWcop(d, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
-      << result.status();
 }
 
 // Untripped contexts must not change results: same dataset, same seed, the

@@ -1,7 +1,7 @@
 // Cooperative signal shutdown: SIGINT/SIGTERM flip the process-wide
 // cancellation flag (common/signals.h); drivers threading that token
-// through a RunContext trip with kCancelled at the next poll, flush their
-// final checkpoint, and a later run resumes to byte-identical output.
+// through a RunContext trip with kCancelled at the next poll, keep what
+// they already committed, and a later run resumes to byte-identical output.
 //
 // Signals are delivered at exact pipeline boundaries with
 // FailpointRegistry::ArmSignal, so the interruption point is deterministic
@@ -12,17 +12,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
-#include "anon/streaming.h"
 #include "common/failpoint.h"
 #include "common/rng.h"
 #include "common/signals.h"
 #include "data/synthetic.h"
+#include "pipeline/continuous.h"
 #include "store/shard_runner.h"
 #include "store/store_file.h"
 #include "test_util.h"
@@ -30,7 +32,7 @@
 namespace wcop {
 namespace {
 
-using testing_util::MakeLineWithReq;
+using testing_util::GapDataset;
 
 // Two far-apart synthetic cities: an input shape the partitioner actually
 // splits (one dense city collapses to a single shard by design).
@@ -52,22 +54,25 @@ Dataset TiledDataset() {
   return dataset;
 }
 
-// Three groups of three co-travelling lines inside [0, 290] s: a 100 s
-// window yields exactly three windows (the crash-recovery workload).
-Dataset StreamingDataset() {
-  std::vector<Trajectory> trajectories;
-  int64_t id = 0;
-  for (int g = 0; g < 3; ++g) {
-    for (int i = 0; i < 3; ++i) {
-      Trajectory t = MakeLineWithReq(id, 2000.0 * g, 30.0 * i, 5.0, 0.0,
-                                     /*n=*/30, /*k=*/2, /*delta=*/300.0,
-                                     /*dt=*/10.0);
-      t.set_object_id(id);
-      trajectories.push_back(std::move(t));
-      ++id;
+// Names and bytes of every published window store and manifest in `dir`,
+// in name order.
+std::string PublishedBytes(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (entry.is_regular_file() && name.rfind("window_", 0) == 0) {
+      names.push_back(name);
     }
   }
-  return Dataset(std::move(trajectories));
+  std::sort(names.begin(), names.end());
+  std::string out;
+  for (const std::string& name : names) {
+    std::ifstream in(dir + "/" + name, std::ios::binary);
+    out += name + "\n";
+    out.append(std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  }
+  return out;
 }
 
 // Exact %.17g dump: equal strings iff the datasets are bitwise equal.
@@ -112,46 +117,51 @@ class SignalShutdownTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-TEST_F(SignalShutdownTest, SigtermCancelsStreamingAndResumeIsByteIdentical) {
-  const Dataset data = StreamingDataset();
-  StreamingOptions options;
+TEST_F(SignalShutdownTest, SigtermCancelsPipelineAndResumeIsByteIdentical) {
+  const std::string source = Path("source.wst");
+  ASSERT_TRUE(store::WriteDatasetStore(GapDataset(), source).ok());
+  pipeline::ContinuousPipelineOptions options;
+  options.source_store = source;
   options.window_seconds = 100.0;
 
-  // Uninterrupted reference run (no checkpointing needed).
-  Result<StreamingResult> baseline = RunStreamingWcop(data, options);
-  ASSERT_TRUE(baseline.ok()) << baseline.status();
-  const std::string expected = DumpDataset(baseline->sanitized);
+  // Uninterrupted reference run.
+  options.output_dir = Path("ref");
+  ASSERT_TRUE(pipeline::RunContinuousPipeline(options).ok());
+  const std::string expected = PublishedBytes(options.output_dir);
   ASSERT_FALSE(expected.empty());
 
-  // SIGTERM lands at the start of window 2: the handler flips the shared
-  // flag, the run trips kCancelled at its next poll, and the window-1
-  // checkpoint is already durable.
+  // SIGTERM lands right after window 0's manifest commits: the handler
+  // flips the shared flag, and the run trips kCancelled at window 1's
+  // yield point, before that (empty) window writes anything.
   const CancellationToken token = InstallShutdownSignalHandlers();
   RunContext ctx;
   ctx.set_cancellation_token(token);
-  options.checkpoint_path = Path("stream.ckpt");
+  options.output_dir = Path("out");
   options.wcop.run_context = &ctx;
-  FailpointRegistry::Instance().ArmSignal("streaming.window", SIGTERM,
-                                          /*on_hit=*/2);
-  Result<StreamingResult> interrupted = RunStreamingWcop(data, options);
+  FailpointRegistry::Instance().ArmSignal("pipeline.manifest_saved", SIGTERM,
+                                          /*on_hit=*/1);
+  Result<pipeline::ContinuousPipelineResult> interrupted =
+      pipeline::RunContinuousPipeline(options);
   ASSERT_FALSE(interrupted.ok()) << "run should have been cancelled";
   EXPECT_EQ(interrupted.status().code(), StatusCode::kCancelled)
       << interrupted.status();
   EXPECT_TRUE(ShutdownSignalReceived());
   EXPECT_EQ(LastShutdownSignal(), SIGTERM);
-  EXPECT_TRUE(std::filesystem::exists(options.checkpoint_path))
-      << "cancellation must flush the final checkpoint";
+  EXPECT_TRUE(std::filesystem::exists(Path("out/window_00000.mfr")));
+  EXPECT_FALSE(std::filesystem::exists(Path("out/window_00001.wst")));
+  EXPECT_FALSE(std::filesystem::exists(Path("out/window_00001.mfr")));
 
-  // New life: no signal, no token. The run resumes past the completed
-  // windows and converges to the uninterrupted output, byte for byte.
+  // New life: no signal, no token. The run adopts the committed window and
+  // converges to the uninterrupted output, byte for byte.
   FailpointRegistry::Instance().DisarmAll();
   ResetShutdownSignalStateForTesting();
   options.wcop.run_context = nullptr;
-  Result<StreamingResult> resumed = RunStreamingWcop(data, options);
+  options.resume = true;
+  Result<pipeline::ContinuousPipelineResult> resumed =
+      pipeline::RunContinuousPipeline(options);
   ASSERT_TRUE(resumed.ok()) << resumed.status();
-  EXPECT_TRUE(resumed->resumed);
-  EXPECT_GE(resumed->resumed_windows, 1u);
-  EXPECT_EQ(DumpDataset(resumed->sanitized), expected);
+  EXPECT_EQ(resumed->resumed_windows, 1u);
+  EXPECT_EQ(PublishedBytes(options.output_dir), expected);
 }
 
 TEST_F(SignalShutdownTest, SigintCancelsShardRunnerAndResumeIsByteIdentical) {

@@ -56,6 +56,27 @@ inline Dataset SmallSynthetic(size_t n = 40, size_t points = 60,
   return dataset;
 }
 
+/// Nine users co-travelling in three groups (k = 2, delta = 300) over
+/// [0, 90] s, silent, then back over [300, 390] s as fresh trajectories:
+/// with 100 s windows from t = 0, windows 1 and 2 hold no sample at all.
+inline Dataset GapDataset() {
+  std::vector<Trajectory> trajectories;
+  int64_t id = 0;
+  for (const double t0 : {0.0, 300.0}) {
+    for (int g = 0; g < 3; ++g) {
+      for (int i = 0; i < 3; ++i) {
+        Trajectory t = MakeLineWithReq(id, 2000.0 * g, 30.0 * i, 5.0, 0.0,
+                                       /*n=*/10, /*k=*/2, /*delta=*/300.0,
+                                       /*dt=*/10.0, t0);
+        t.set_object_id(3 * g + i);
+        trajectories.push_back(std::move(t));
+        ++id;
+      }
+    }
+  }
+  return Dataset(std::move(trajectories));
+}
+
 }  // namespace testing_util
 }  // namespace wcop
 
