@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "anon/wcop.h"
+#include "attack/reident.h"
 #include "bench_util.h"
 #include "common/table_printer.h"
 
@@ -35,9 +36,10 @@ int main(int argc, char** argv) {
   Rng query_rng(scale.seed + 7);
   const std::vector<RangeQuery> queries =
       GenerateRangeQueries(dataset, 60, 0.05, 0.02, &query_rng);
-  AttackOptions attack;
-  attack.observations_per_victim = 5;
-  attack.seed = scale.seed + 8;
+  const attack::DatasetCandidateSource original(dataset);
+  attack::ReidentOptions reident;
+  reident.adversary.observations = 5;
+  reident.adversary.seed = scale.seed + 8;
 
   PrintHeader("Extension: privacy/utility frontier (kmax=" +
               std::to_string(k_max) + ", dmax=" +
@@ -49,14 +51,13 @@ int main(int argc, char** argv) {
   auto evaluate = [&](const std::string& name, const Dataset& published,
                       std::optional<double> ttd, size_t clusters,
                       double runtime) {
-    Result<AttackResult> linkage =
-        SimulateLinkageAttack(dataset, published, attack);
+    Result<attack::ReidentResult> linkage = attack::RunReidentAttack(
+        original, attack::DatasetCandidateSource(published), reident);
     const RangeQueryDistortionResult rq =
         RangeQueryDistortion(dataset, published, queries);
     const double density = SpatialDensityDivergence(dataset, published);
     table.AddRow({name,
-                  linkage.ok() ? FormatSignificant(
-                                     linkage->top1_success_rate, 3)
+                  linkage.ok() ? FormatSignificant(linkage->top1_success, 3)
                                : "n/a",
                   linkage.ok() ? FormatSignificant(linkage->mean_true_rank, 3)
                                : "n/a",

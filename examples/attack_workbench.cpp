@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "anon/wcop.h"
+#include "attack/reident.h"
 #include "common/arg_parser.h"
 #include "common/table_printer.h"
 #include "data/synthetic.h"
@@ -21,23 +22,26 @@ namespace {
 /// Returns whether the row could be computed; a failed attack run is
 /// reported on stderr instead of silently dropping the row.
 bool SweepRow(TablePrinter* table, const std::string& label,
-              const Dataset& original, const Dataset& raw,
-              const Dataset& anonymized, const AttackOptions& options) {
-  Result<AttackResult> on_raw = SimulateLinkageAttack(original, raw, options);
+              const attack::CandidateSource& original,
+              const attack::CandidateSource& raw,
+              const attack::CandidateSource& anonymized,
+              const attack::ReidentOptions& options) {
+  Result<attack::ReidentResult> on_raw =
+      attack::RunReidentAttack(original, raw, options);
   if (!on_raw.ok()) {
     std::cerr << "attack on raw data failed for row '" << label
               << "': " << on_raw.status() << "\n";
     return false;
   }
-  Result<AttackResult> on_anon =
-      SimulateLinkageAttack(original, anonymized, options);
+  Result<attack::ReidentResult> on_anon =
+      attack::RunReidentAttack(original, anonymized, options);
   if (!on_anon.ok()) {
     std::cerr << "attack on anonymized data failed for row '" << label
               << "': " << on_anon.status() << "\n";
     return false;
   }
-  table->AddRow({label, FormatSignificant(on_raw->top1_success_rate, 3),
-                 FormatSignificant(on_anon->top1_success_rate, 3),
+  table->AddRow({label, FormatSignificant(on_raw->top1_success, 3),
+                 FormatSignificant(on_anon->top1_success, 3),
                  FormatSignificant(on_anon->mean_true_rank, 3)});
   return true;
 }
@@ -74,6 +78,10 @@ int main(int argc, char** argv) {
   }
   std::printf("dataset: %zu trajectories; WCOP-CT produced %zu clusters\n\n",
               dataset.size(), anonymized->report.num_clusters);
+  // The raw release is the original data itself, so one source serves as
+  // both the adversary's background knowledge and the raw publication.
+  const attack::DatasetCandidateSource original(dataset);
+  const attack::DatasetCandidateSource published(anonymized->sanitized);
 
   size_t rows_attempted = 0;
   size_t rows_ok = 0;
@@ -83,12 +91,12 @@ int main(int argc, char** argv) {
     TablePrinter table({"observations", "top-1 on raw", "top-1 on anonymized",
                         "mean rank (anon)"});
     for (size_t obs : {1u, 2u, 5u, 10u, 25u}) {
-      AttackOptions attack;
-      attack.observations_per_victim = obs;
-      attack.seed = 100 + obs;
+      attack::ReidentOptions reident;
+      reident.adversary.observations = obs;
+      reident.adversary.seed = 100 + obs;
       ++rows_attempted;
-      rows_ok += SweepRow(&table, std::to_string(obs), dataset, dataset,
-                          anonymized->sanitized, attack);
+      rows_ok += SweepRow(&table, std::to_string(obs), original, original,
+                          published, reident);
     }
     table.Print(std::cout);
   }
@@ -98,12 +106,12 @@ int main(int argc, char** argv) {
     TablePrinter table({"noise (m)", "top-1 on raw", "top-1 on anonymized",
                         "mean rank (anon)"});
     for (double noise : {0.0, 25.0, 100.0, 400.0, 1600.0}) {
-      AttackOptions attack;
-      attack.observation_noise = noise;
-      attack.seed = 200 + static_cast<uint64_t>(noise);
+      attack::ReidentOptions reident;
+      reident.adversary.noise = noise;
+      reident.adversary.seed = 200 + static_cast<uint64_t>(noise);
       ++rows_attempted;
-      rows_ok += SweepRow(&table, FormatSignificant(noise, 4), dataset,
-                          dataset, anonymized->sanitized, attack);
+      rows_ok += SweepRow(&table, FormatSignificant(noise, 4), original,
+                          original, published, reident);
     }
     table.Print(std::cout);
   }
@@ -113,12 +121,12 @@ int main(int argc, char** argv) {
     TablePrinter table({"pmc delta (m)", "top-1 on raw",
                         "top-1 on anonymized", "mean rank (anon)"});
     for (double delta : {0.0, 50.0, 250.0, 1000.0, 4000.0}) {
-      AttackOptions attack;
-      attack.pmc_delta = delta;
-      attack.seed = 300 + static_cast<uint64_t>(delta);
+      attack::ReidentOptions reident;
+      reident.adversary.pmc_delta = delta;
+      reident.adversary.seed = 300 + static_cast<uint64_t>(delta);
       ++rows_attempted;
-      rows_ok += SweepRow(&table, FormatSignificant(delta, 4), dataset,
-                          dataset, anonymized->sanitized, attack);
+      rows_ok += SweepRow(&table, FormatSignificant(delta, 4), original,
+                          original, published, reident);
     }
     table.Print(std::cout);
   }

@@ -7,9 +7,7 @@
 
 namespace wcop {
 
-EffectiveAnonymityReport MeasureEffectiveAnonymity(const Dataset& published,
-                                                   double delta,
-                                                   bool use_personal_delta) {
+EffectiveAnonymityReport MeasureEffectiveAnonymity(const Dataset& published) {
   EffectiveAnonymityReport report;
   const size_t n = published.size();
   report.counts.assign(n, 0);
@@ -21,8 +19,7 @@ EffectiveAnonymityReport MeasureEffectiveAnonymity(const Dataset& published,
   // that also works when trajectories have different timelines (unlike the
   // aligned-timestamp fast path used inside the pipeline).
   for (size_t i = 0; i < n; ++i) {
-    const double threshold =
-        use_personal_delta ? published[i].requirement().delta : delta;
+    const double threshold = published[i].requirement().delta;
     size_t count = 0;
     for (size_t j = 0; j < n; ++j) {
       if (i == j) {

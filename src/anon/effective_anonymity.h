@@ -11,10 +11,11 @@ namespace wcop {
 /// Measures the anonymity a published dataset *actually* provides, without
 /// trusting any cluster metadata: for each published trajectory, count the
 /// published trajectories (including itself) it is co-localized with
-/// w.r.t. delta over a shared timeline. A trajectory published inside an
-/// intact (k,delta)-anonymity set scores >= k; a trajectory that ended up
-/// alone scores 1 — a privacy leak this auditor surfaces no matter what
-/// the publisher claims.
+/// w.r.t. its own requirement delta_i over a shared lifetime (Definition 2
+/// at the personal delta). A trajectory published inside an intact
+/// (k,delta)-anonymity set scores >= k; a trajectory that ended up alone
+/// scores 1 — a privacy leak this auditor surfaces no matter what the
+/// publisher claims.
 struct EffectiveAnonymityReport {
   std::vector<size_t> counts;     ///< aligned with the published dataset
   size_t min_anonymity = 0;
@@ -24,11 +25,11 @@ struct EffectiveAnonymityReport {
   double violation_fraction = 0.0;
 };
 
-/// Computes the report. `delta` is the co-localization diameter to audit
-/// at; pass each trajectory's own requirement delta by setting
-/// `use_personal_delta` (then `delta` is ignored).
-EffectiveAnonymityReport MeasureEffectiveAnonymity(
-    const Dataset& published, double delta, bool use_personal_delta = false);
+/// Computes the report. This is not the audit's k^{τ,ε} measure
+/// (attack/effective_k.h): that one applies one global ε at sampled
+/// timestamps of a τ-interval, this one each user's own delta_i over the
+/// whole lifetime.
+EffectiveAnonymityReport MeasureEffectiveAnonymity(const Dataset& published);
 
 }  // namespace wcop
 

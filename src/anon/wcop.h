@@ -9,7 +9,6 @@
 #include "anon/effective_anonymity.h"
 #include "anon/greedy_clustering.h"
 #include "anon/agglomerative.h"
-#include "anon/attack.h"
 #include "anon/mahdavifar.h"
 #include "anon/metrics.h"
 #include "anon/nwa.h"

@@ -19,10 +19,10 @@ namespace attack {
 /// Uniform candidate universe for the attacks: an indexed set of published
 /// (or original) trajectories with per-entry metadata cheap enough to walk
 /// without touching trajectory bytes, plus on-demand block reads. One
-/// abstraction serves both the legacy in-memory Dataset entry points and
-/// the out-of-core 500k-store audits — the index rows carry the spatial
-/// MBR and lifetime that power the certified lower-bound pruning of the
-/// re-identification scan (see reident.h).
+/// abstraction serves both in-memory Datasets (the bench and example
+/// harnesses) and the out-of-core 500k-store audits — the index rows carry
+/// the spatial MBR and lifetime that power the certified lower-bound
+/// pruning of the re-identification scan (see reident.h).
 ///
 /// Every entry has a *truth key*: the identity an attack's ground truth is
 /// keyed on. For plain stores and datasets that is the trajectory id; for
@@ -54,8 +54,8 @@ class CandidateSource {
   std::unordered_map<int64_t, size_t> by_key_;
 };
 
-/// In-memory adapter over a Dataset (the legacy attack entry points and
-/// unit tests). Entries are synthesized from the trajectories; the truth
+/// In-memory adapter over a Dataset (bench and example harnesses, unit
+/// tests). Entries are synthesized from the trajectories; the truth
 /// key is the trajectory id. The dataset must outlive the source.
 class DatasetCandidateSource : public CandidateSource {
  public:

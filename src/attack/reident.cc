@@ -62,8 +62,8 @@ VictimOutcome AttackVictim(const CandidateSource& original,
   // Walk the index: a candidate whose lower bound (sum of observation-to-
   // MBR distances) strictly exceeds s_true scores strictly worse than the
   // truth — it can neither outrank nor tie it, so it is counted as "worse"
-  // without reading its block. Everything else is read and scored exactly,
-  // preserving the legacy tie semantics (exact == on the score sum).
+  // without reading its block. Everything else is read and scored exactly;
+  // ties are exact == on the score sum, the same as an exhaustive scan.
   size_t better = 0;
   size_t tied = 1;  // the truth itself
   const size_t n = published.size();

@@ -16,6 +16,10 @@
 /// ForcePush exists for exactly that restart path: recovered jobs were
 /// admitted in a previous life, so re-admitting them must not compete with
 /// (or be rejected by) the live capacity check.
+///
+/// An item handed out by Pop stays *in flight* until the consumer calls
+/// Done(). Removal and the in-flight count change under one lock, so
+/// WaitIdle never sees a popped item in neither place.
 
 #include <condition_variable>
 #include <cstddef>
@@ -74,27 +78,36 @@ class BoundedQueue {
   /// Blocks until an item is available or the queue shuts down. Returns
   /// nullopt exactly when no more items will ever be handed out: closed
   /// with drain=false, or closed with drain=true and emptied. Items come
-  /// out in FIFO push order.
+  /// out in FIFO push order; each one is in flight until Done().
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     ready_.wait(lock, [&] { return closed_ || !items_.empty(); });
-    if (items_.empty() || (closed_ && !drain_)) {
-      return std::nullopt;
-    }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
+    return TakeFrontLocked();
   }
 
   /// Non-blocking Pop variant for tests: nullopt when empty or abandoned.
   std::optional<T> TryPop() {
     std::lock_guard<std::mutex> lock(mu_);
-    if (items_.empty() || (closed_ && !drain_)) {
-      return std::nullopt;
+    return TakeFrontLocked();
+  }
+
+  /// The consumer finished an item it popped.
+  void Done() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      --in_flight_;
     }
-    T item = std::move(items_.front());
-    items_.pop_front();
-    return item;
+    idle_.notify_all();
+  }
+
+  /// Blocks until nothing is queued and nothing is in flight. Items
+  /// abandoned by Close(drain=false) do not count: no consumer will ever
+  /// take them.
+  void WaitIdle() {
+    std::unique_lock<std::mutex> lock(mu_);
+    idle_.wait(lock, [&] {
+      return in_flight_ == 0 && (items_.empty() || (closed_ && !drain_));
+    });
   }
 
   /// Stops intake. drain=true: consumers keep popping until empty (FIFO).
@@ -108,6 +121,7 @@ class BoundedQueue {
       drain_ = drain_ && drain;
     }
     ready_.notify_all();
+    idle_.notify_all();
   }
 
   size_t size() const {
@@ -121,10 +135,22 @@ class BoundedQueue {
   }
 
  private:
+  std::optional<T> TakeFrontLocked() {
+    if (items_.empty() || (closed_ && !drain_)) {
+      return std::nullopt;
+    }
+    T item = std::move(items_.front());
+    items_.pop_front();
+    ++in_flight_;
+    return item;
+  }
+
   const size_t capacity_;
   mutable std::mutex mu_;
   std::condition_variable ready_;
+  std::condition_variable idle_;
   std::deque<T> items_;
+  size_t in_flight_ = 0;
   bool closed_ = false;
   bool drain_ = true;
 };

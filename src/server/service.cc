@@ -322,28 +322,11 @@ void AnonymizationService::AwaitTermination() {
   }
 }
 
-void AnonymizationService::AwaitIdle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [&] {
-    if (queue_->size() != 0 ||
-        running_.load(std::memory_order_relaxed) != 0) {
-      return false;
-    }
-    for (const auto& [id, record] : jobs_) {
-      if (record.state == JobState::kRunning) {
-        return false;
-      }
-    }
-    return true;
-  });
-}
+void AnonymizationService::AwaitIdle() { queue_->WaitIdle(); }
 
 void AnonymizationService::StoreRecord(const JobRecord& record) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    jobs_[record.id] = record;
-  }
-  idle_.notify_all();
+  std::lock_guard<std::mutex> lock(mu_);
+  jobs_[record.id] = record;
 }
 
 std::string AnonymizationService::WorkDir(int64_t id) const {
@@ -365,6 +348,12 @@ void AnonymizationService::WorkerLoop() {
   telemetry::MetricsRegistry& metrics = telemetry_.metrics();
   telemetry::Gauge* depth = metrics.GetGauge("server.queue.depth");
   while (std::optional<int64_t> id = queue_->Pop()) {
+    // However this iteration ends, the job leaves the queue's in-flight
+    // count (what AwaitIdle waits on) only after its record is final.
+    struct DoneOnExit {
+      BoundedQueue<int64_t>* queue;
+      ~DoneOnExit() { queue->Done(); }
+    } done_on_exit{queue_.get()};
     depth->Set(static_cast<double>(queue_->size()));
     JobRecord record;
     {
@@ -437,7 +426,6 @@ void AnonymizationService::WorkerLoop() {
       }
       StoreRecord(record);
       running_.fetch_sub(1, std::memory_order_relaxed);
-      idle_.notify_all();
       continue;
     } else {
       record.state = JobState::kFailed;
@@ -459,7 +447,6 @@ void AnonymizationService::WorkerLoop() {
     }
     StoreRecord(record);
     running_.fetch_sub(1, std::memory_order_relaxed);
-    idle_.notify_all();
   }
 }
 

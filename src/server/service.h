@@ -33,7 +33,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -142,8 +141,10 @@ class AnonymizationService {
   /// Joins the worker pool. Call after BeginShutdown.
   void AwaitTermination();
 
-  /// Test/drain helper: blocks until the queue is empty and no job is
-  /// executing (or the pool terminated).
+  /// Test/drain helper: blocks until no job is queued and none is in a
+  /// worker's hands — popped jobs count from the moment they leave the
+  /// queue until their final record is stored. Jobs left in the ledger by
+  /// an immediate shutdown do not count.
   void AwaitIdle();
 
  private:
@@ -201,7 +202,6 @@ class AnonymizationService {
   std::atomic<size_t> running_{0};
 
   mutable std::mutex mu_;
-  std::condition_variable idle_;
   std::map<int64_t, JobRecord> jobs_;
   std::unordered_map<std::string, int64_t> by_name_;
   std::unordered_map<int64_t, std::chrono::steady_clock::time_point>

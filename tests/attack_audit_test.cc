@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "anon/attack.h"
 #include "anon/wcop.h"
 #include "attack/audit.h"
 #include "attack/candidate_source.h"
@@ -311,16 +310,16 @@ TEST(AttackRunContext, CancellationStopsTheAudit) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy anon/attack.h entry points route through the new engine: they now
-// honour RunContext and emit attack.* telemetry.
+// Telemetry: the scan's counters reconcile with its result.
 // ---------------------------------------------------------------------------
 
-TEST(LegacyWiring, SimulateLinkageAttackEmitsTelemetryAndHonoursBudget) {
+TEST(AttackTelemetry, ReidentCountersMatchTheResult) {
   const Dataset d = SmallSynthetic(24, 30, 3, 200.0, 13);
+  const DatasetCandidateSource source(d);
   telemetry::Telemetry telemetry;
-  AttackOptions options;
+  ReidentOptions options;
   options.telemetry = &telemetry;
-  Result<AttackResult> result = SimulateLinkageAttack(d, d, options);
+  Result<ReidentResult> result = RunReidentAttack(source, source, options);
   ASSERT_TRUE(result.ok()) << result.status();
   const telemetry::MetricsSnapshot snapshot =
       telemetry.metrics().Snapshot();
@@ -332,20 +331,13 @@ TEST(LegacyWiring, SimulateLinkageAttackEmitsTelemetryAndHonoursBudget) {
     }
     return 0;
   };
-  EXPECT_GT(counter("attack.victims"), 0u);
+  EXPECT_EQ(counter("attack.victims"), 24u);
+  EXPECT_EQ(counter("attack.victims"), result->victims_attacked);
+  EXPECT_EQ(counter("attack.candidates"), result->candidates_scored);
+  EXPECT_EQ(counter("attack.candidates.pruned"), result->candidates_pruned);
   EXPECT_GT(counter("attack.candidates") +
                 counter("attack.candidates.pruned"),
             0u);
-
-  RunContext context;
-  ResourceBudget budget;
-  budget.max_distance_computations = 2;
-  context.set_budget(budget);
-  AttackOptions limited;
-  limited.run_context = &context;
-  Result<AttackResult> tripped = SimulateLinkageAttack(d, d, limited);
-  ASSERT_FALSE(tripped.ok());
-  EXPECT_EQ(tripped.status().code(), StatusCode::kResourceExhausted);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,22 +1,31 @@
 #include <gtest/gtest.h>
 
-#include "anon/attack.h"
 #include "anon/wcop_ct.h"
+#include "attack/reident.h"
+#include "attack/tracking.h"
 #include "test_util.h"
 
 namespace wcop {
+namespace attack {
 namespace {
 
 using testing_util::SmallSynthetic;
+
+// Re-identification of `original`'s users in `published`, both in memory.
+Result<ReidentResult> Link(const Dataset& original, const Dataset& published,
+                           const ReidentOptions& options = {}) {
+  return RunReidentAttack(DatasetCandidateSource(original),
+                          DatasetCandidateSource(published), options);
+}
 
 TEST(AttackTest, LinkageAgainstUnprotectedDataSucceeds) {
   // Publishing the original data verbatim: the adversary's observations
   // match the victim's own trajectory exactly, so top-1 linkage is ~100%.
   const Dataset d = SmallSynthetic(30, 50);
-  Result<AttackResult> r = SimulateLinkageAttack(d, d);
+  Result<ReidentResult> r = Link(d, d);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->victims_attacked, 30u);
-  EXPECT_GE(r->top1_success_rate, 0.95);
+  EXPECT_GE(r->top1_success, 0.95);
   EXPECT_LE(r->mean_true_rank, 1.2);
 }
 
@@ -25,34 +34,34 @@ TEST(AttackTest, AnonymizationReducesLinkage) {
   Result<AnonymizationResult> anonymized = RunWcopCt(d);
   ASSERT_TRUE(anonymized.ok());
 
-  Result<AttackResult> before = SimulateLinkageAttack(d, d);
-  Result<AttackResult> after = SimulateLinkageAttack(d, anonymized->sanitized);
+  Result<ReidentResult> before = Link(d, d);
+  Result<ReidentResult> after = Link(d, anonymized->sanitized);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(after.ok());
   // The whole point of (k,delta)-anonymity: co-localized cluster members
   // are near-indistinguishable, so linkage confidence drops substantially.
-  EXPECT_LT(after->top1_success_rate, before->top1_success_rate);
+  EXPECT_LT(after->top1_success, before->top1_success);
   EXPECT_GT(after->mean_true_rank, before->mean_true_rank);
   EXPECT_LT(after->mean_reciprocal_rank, 1.0);
 }
 
 TEST(AttackTest, NoiseWeakensTheAdversary) {
   const Dataset d = SmallSynthetic(30, 50);
-  AttackOptions clean;
-  AttackOptions noisy;
-  noisy.observation_noise = 2000.0;  // very coarse observations
-  Result<AttackResult> exact = SimulateLinkageAttack(d, d, clean);
-  Result<AttackResult> blurred = SimulateLinkageAttack(d, d, noisy);
+  ReidentOptions clean;
+  ReidentOptions noisy;
+  noisy.adversary.noise = 2000.0;  // very coarse observations
+  Result<ReidentResult> exact = Link(d, d, clean);
+  Result<ReidentResult> blurred = Link(d, d, noisy);
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(blurred.ok());
-  EXPECT_LE(blurred->top1_success_rate, exact->top1_success_rate);
+  EXPECT_LE(blurred->top1_success, exact->top1_success);
 }
 
 TEST(AttackTest, VictimSubsetRespected) {
   const Dataset d = SmallSynthetic(30, 40);
-  AttackOptions options;
+  ReidentOptions options;
   options.num_victims = 10;
-  Result<AttackResult> r = SimulateLinkageAttack(d, d, options);
+  Result<ReidentResult> r = Link(d, d, options);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->victims_attacked, 10u);
 }
@@ -61,20 +70,21 @@ TEST(AttackTest, SuppressedVictimsAreSkipped) {
   Dataset original = SmallSynthetic(20, 40);
   Dataset published = original;
   published.mutable_trajectories().pop_back();  // one victim suppressed
-  Result<AttackResult> r = SimulateLinkageAttack(original, published);
+  Result<ReidentResult> r = Link(original, published);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->victims_attacked, 19u);
+  EXPECT_EQ(r->victims_suppressed, 1u);
 }
 
 TEST(AttackTest, DeterministicForSeed) {
   const Dataset d = SmallSynthetic(25, 40);
-  AttackOptions options;
-  options.seed = 1234;
-  const auto a = SimulateLinkageAttack(d, d, options);
-  const auto b = SimulateLinkageAttack(d, d, options);
+  ReidentOptions options;
+  options.adversary.seed = 1234;
+  const auto a = Link(d, d, options);
+  const auto b = Link(d, d, options);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->top1_hits, b->top1_hits);
+  EXPECT_DOUBLE_EQ(a->top1_success, b->top1_success);
   EXPECT_DOUBLE_EQ(a->mean_true_rank, b->mean_true_rank);
 }
 
@@ -82,22 +92,22 @@ TEST(AttackTest, UncertaintyAwareAdversaryIsWeaker) {
   // Observations drawn from a wide possible motion curve carry less
   // information than exact fixes.
   const Dataset d = SmallSynthetic(30, 50);
-  AttackOptions exact;
-  AttackOptions uncertain;
-  uncertain.pmc_delta = 4000.0;
-  Result<AttackResult> a = SimulateLinkageAttack(d, d, exact);
-  Result<AttackResult> b = SimulateLinkageAttack(d, d, uncertain);
+  ReidentOptions exact;
+  ReidentOptions uncertain;
+  uncertain.adversary.pmc_delta = 4000.0;
+  Result<ReidentResult> a = Link(d, d, exact);
+  Result<ReidentResult> b = Link(d, d, uncertain);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_LE(b->top1_success_rate, a->top1_success_rate);
+  EXPECT_LE(b->top1_success, a->top1_success);
   EXPECT_GE(b->mean_true_rank, a->mean_true_rank);
 }
 
 TEST(TrackingAttackTest, FollowsRawDataPerfectly) {
   const Dataset d = SmallSynthetic(20, 50);
-  TrackingAttackOptions options;
+  TrackingOptions options;
   options.step_seconds = 30.0;
-  Result<TrackingAttackResult> r = SimulateTrackingAttack(d, d, options);
+  Result<TrackingResult> r = RunTrackingAttack(d, d, options);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(r->victims_tracked, 20u);
   // Tracking exact data from the true start should mostly stay on target
@@ -128,11 +138,10 @@ TEST(TrackingAttackTest, CrossingsConfuseTheTracker) {
   crossed.Add(Trajectory(0, a2));
   crossed.Add(Trajectory(1, b2));
 
-  TrackingAttackOptions options;
+  TrackingOptions options;
   options.step_seconds = 10.0;
-  Result<TrackingAttackResult> clean = SimulateTrackingAttack(d, d, options);
-  Result<TrackingAttackResult> confused =
-      SimulateTrackingAttack(d, crossed, options);
+  Result<TrackingResult> clean = RunTrackingAttack(d, d, options);
+  Result<TrackingResult> confused = RunTrackingAttack(d, crossed, options);
   ASSERT_TRUE(clean.ok());
   ASSERT_TRUE(confused.ok());
   EXPECT_DOUBLE_EQ(clean->tracking_success_rate, 1.0);
@@ -143,20 +152,21 @@ TEST(TrackingAttackTest, CrossingsConfuseTheTracker) {
 
 TEST(TrackingAttackTest, RejectsBadInputs) {
   const Dataset d = SmallSynthetic(10, 30);
-  TrackingAttackOptions options;
+  TrackingOptions options;
   options.step_seconds = 0.0;
-  EXPECT_FALSE(SimulateTrackingAttack(d, d, options).ok());
-  EXPECT_FALSE(SimulateTrackingAttack(Dataset(), d, {}).ok());
+  EXPECT_FALSE(RunTrackingAttack(d, d, options).ok());
+  EXPECT_FALSE(RunTrackingAttack(Dataset(), d, {}).ok());
 }
 
 TEST(AttackTest, RejectsBadInputs) {
   const Dataset d = SmallSynthetic(10, 30);
-  EXPECT_FALSE(SimulateLinkageAttack(Dataset(), d).ok());
-  EXPECT_FALSE(SimulateLinkageAttack(d, Dataset()).ok());
-  AttackOptions options;
-  options.observations_per_victim = 0;
-  EXPECT_FALSE(SimulateLinkageAttack(d, d, options).ok());
+  EXPECT_FALSE(Link(Dataset(), d).ok());
+  EXPECT_FALSE(Link(d, Dataset()).ok());
+  ReidentOptions options;
+  options.adversary.observations = 0;
+  EXPECT_FALSE(Link(d, d, options).ok());
 }
 
 }  // namespace
+}  // namespace attack
 }  // namespace wcop

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -224,6 +225,31 @@ TEST(BoundedQueueTest, ImmediateShutdownWakesBlockedConsumers) {
     t.join();
   }
   EXPECT_EQ(woke.load(), 3);
+}
+
+TEST(BoundedQueueTest, WaitIdleWaitsForPoppedItemsUntilDone) {
+  BoundedQueue<int> queue(2);
+  ASSERT_TRUE(queue.TryPush(1).ok());
+  ASSERT_EQ(queue.Pop(), 1);  // out of the queue, not yet Done
+  std::atomic<bool> idle{false};
+  std::thread waiter([&] {
+    queue.WaitIdle();
+    idle.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(idle.load());
+  queue.Done();
+  waiter.join();
+  EXPECT_TRUE(idle.load());
+}
+
+TEST(BoundedQueueTest, ItemsAbandonedByImmediateCloseDoNotBlockWaitIdle) {
+  BoundedQueue<int> queue(2);
+  ASSERT_TRUE(queue.TryPush(1).ok());
+  ASSERT_TRUE(queue.TryPush(2).ok());
+  queue.Close(/*drain=*/false);
+  queue.WaitIdle();  // no consumer will ever take them
+  EXPECT_EQ(queue.size(), 2u);
 }
 
 }  // namespace

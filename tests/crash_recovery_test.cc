@@ -78,8 +78,7 @@ int WriteDump(const std::string& path, const std::string& dump) {
 // Outside audit of the published output: every trajectory must enjoy at
 // least its declared k co-localized companions at its own delta.
 int AuditOrFail(const Dataset& published) {
-  const EffectiveAnonymityReport audit =
-      MeasureEffectiveAnonymity(published, 0.0, /*use_personal_delta=*/true);
+  const EffectiveAnonymityReport audit = MeasureEffectiveAnonymity(published);
   if (audit.violation_fraction != 0.0) {
     std::fprintf(stderr,
                  "child: effective-anonymity audit failed "

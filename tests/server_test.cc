@@ -293,6 +293,30 @@ TEST_F(ServerTest, FullQueueRejectsWithExplicitBackpressure) {
   EXPECT_EQ(record->state, JobState::kDone);
 }
 
+TEST_F(ServerTest, AwaitIdleNeverReturnsWhileAJobIsInFlight) {
+  // A worker that has just popped a job is neither queued nor running yet;
+  // AwaitIdle must still wait for it. The spin between Submit and
+  // AwaitIdle sweeps the caller across the worker's wake-up so that some
+  // iterations land in the pop-to-claim gap.
+  Result<std::unique_ptr<AnonymizationService>> service =
+      AnonymizationService::Start(BaseOptions());
+  ASSERT_TRUE(service.ok()) << service.status();
+  const std::string input = SmallStore();
+  for (int i = 0; i < 200; ++i) {
+    Result<int64_t> id =
+        (*service)->Submit(Spec("idle_" + std::to_string(i), input));
+    ASSERT_TRUE(id.ok()) << id.status();
+    const auto spin_until = std::chrono::steady_clock::now() +
+                            std::chrono::microseconds(i % 50);
+    while (std::chrono::steady_clock::now() < spin_until) {
+    }
+    (*service)->AwaitIdle();
+    Result<JobRecord> record = (*service)->GetJob(*id);
+    ASSERT_TRUE(record.ok());
+    ASSERT_EQ(record->state, JobState::kDone) << "iteration " << i;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Deadlines and budgets: degrade explicitly or fail closed — never silent
 // partial output.
