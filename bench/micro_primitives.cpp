@@ -1,7 +1,7 @@
 // Micro-benchmarks of the computational primitives behind the WCOP suite:
 // EDR distance / op reconstruction, synchronized Euclidean distance, DBSCAN,
 // grid-index range queries, TRACLUS MDL partitioning, greedy clustering,
-// the translation phase and the store's block codec. google-benchmark
+// the translation phase, the store's record codecs and CRC-32. google-benchmark
 // binary — runs standalone.
 //
 // `--json-out=FILE` (the shared bench_util flag) additionally captures every
@@ -19,6 +19,8 @@
 #include "anon/wcop_ct.h"
 #include "bench_util.h"
 #include "cluster/dbscan.h"
+#include "common/rng.h"
+#include "common/snapshot.h"
 #include "distance/edr.h"
 #include "distance/edr_bounds.h"
 #include "distance/edr_kernel.h"
@@ -258,11 +260,11 @@ void BM_StoreNearestAt(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreNearestAt)->Range(64, 512);
 
-// Store block codec over 1k records x 8 points: the text record of
-// AppendTrajectoryRecord / ParseTrajectoryRecord against the floor a binary
-// payload (raw IEEE-754 bits, memcpy) could reach. The `per_double` counter
-// is seconds per double a record carries (x, y, t per point, plus delta),
-// printed with an SI prefix: "100n" is 100 ns.
+// Store record codecs over 1k records x 8 points: the text record of
+// AppendTrajectoryRecord / ParseTrajectoryRecord (shard checkpoints and v1
+// store blocks) against the v2 binary block payload the store writes. The
+// `per_double` counter is seconds per double a record carries (x, y, t per
+// point, plus delta), printed with an SI prefix: "100n" is 100 ns.
 constexpr size_t kCodecRecords = 1000;
 constexpr size_t kCodecPoints = 8;
 
@@ -306,35 +308,53 @@ void BM_StoreRecordDecode(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreRecordDecode);
 
-void BM_StoreRecordRawBits(benchmark::State& state) {
+void BM_StoreBlockEncode(benchmark::State& state) {
   const Dataset d = SmallDataset(kCodecRecords, kCodecPoints);
   std::string out;
-  std::vector<Point> back;
   for (auto _ : state) {
     out.clear();
     for (const Trajectory& t : d.trajectories()) {
-      const double delta = t.requirement().delta;
-      out.append(reinterpret_cast<const char*>(&delta), sizeof(delta));
-      out.append(reinterpret_cast<const char*>(t.points().data()),
-                 t.size() * sizeof(Point));
-    }
-    size_t pos = 0;
-    for (const Trajectory& t : d.trajectories()) {
-      double delta;
-      std::memcpy(&delta, out.data() + pos, sizeof(delta));
-      pos += sizeof(delta);
-      back.resize(t.size());
-      std::memcpy(back.data(), out.data() + pos, t.size() * sizeof(Point));
-      pos += t.size() * sizeof(Point);
-      benchmark::DoNotOptimize(back.data());
-      benchmark::DoNotOptimize(delta);
+      store::AppendBinaryTrajectoryRecord(&out, t);
     }
     benchmark::DoNotOptimize(out.data());
     benchmark::ClobberMemory();
   }
   SetPerDouble(state, d);
 }
-BENCHMARK(BM_StoreRecordRawBits);
+BENCHMARK(BM_StoreBlockEncode);
+
+void BM_StoreBlockDecode(benchmark::State& state) {
+  const Dataset d = SmallDataset(kCodecRecords, kCodecPoints);
+  std::vector<std::string> payloads(d.size());
+  for (size_t i = 0; i < d.size(); ++i) {
+    store::AppendBinaryTrajectoryRecord(&payloads[i], d[i]);
+  }
+  for (auto _ : state) {
+    for (const std::string& payload : payloads) {
+      Result<Trajectory> t = store::ParseBinaryTrajectoryRecord(payload);
+      benchmark::DoNotOptimize(t);
+    }
+  }
+  SetPerDouble(state, d);
+}
+BENCHMARK(BM_StoreBlockDecode);
+
+// CRC-32 of the store blocks, index, snapshots and file digests, in
+// bytes/s at a small block, a page and a large file section.
+void BM_Crc32(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  Rng rng(5);
+  std::string bytes(n, '\0');
+  for (char& c : bytes) {
+    c = static_cast<char>(rng.UniformInt(0, 255));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4 << 10)->Arg(1 << 20);
 
 void BM_WcopCtEndToEnd(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));

@@ -1,9 +1,11 @@
 #ifndef WCOP_COMMON_NUMBER_CODEC_H_
 #define WCOP_COMMON_NUMBER_CODEC_H_
 
-/// The one number codec of every durable text artifact: store block
-/// records, shard and WCOP-B checkpoints, window manifests and job
-/// records (DESIGN.md "Dataset store & sharding").
+/// The one number codec of every durable text artifact: shard and WCOP-B
+/// checkpoints, window manifests and job records, plus the block records
+/// of version-1 trajectory stores, which are still read. Version-2 store
+/// blocks are binary (store/store_file.h, DESIGN.md "Dataset store &
+/// sharding").
 ///
 /// Doubles are written as the shortest decimal that parses back to the same
 /// bits (std::to_chars) and read with std::from_chars, so Append + Parse is

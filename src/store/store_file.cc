@@ -2,11 +2,15 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <cstring>
 #include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/log.h"
@@ -26,6 +30,8 @@ constexpr size_t kHeaderSize = 8 + 4 + 4;
 constexpr size_t kBlockHeaderSize = 4 + 4;
 constexpr size_t kEntrySize = 13 * 8;  // 13 8-byte fields per index entry
 constexpr size_t kFooterSize = 8 + 8;
+constexpr size_t kRecordHeaderSize = 6 * 8;  // v2 payload header
+constexpr size_t kPointSize = 3 * 8;         // v2 (x, y, t)
 constexpr size_t kContextPollBlocks = 256;  // ReadSubset's RunContext cadence
 
 void PutU32(char* out, uint32_t v) {
@@ -78,13 +84,22 @@ Status WriteAll(std::FILE* f, const char* data, size_t n,
   return Status::OK();
 }
 
-Status ReadExact(std::FILE* f, uint64_t offset, char* out, size_t n,
+// Reads exactly `n` bytes at `offset`, retrying on EINTR and short reads;
+// end of file first is a truncated store.
+Status ReadExact(int fd, uint64_t offset, char* out, size_t n,
                  const std::string& path) {
-  if (std::fseek(f, static_cast<long>(offset), SEEK_SET) != 0) {
-    return Status::DataLoss("store " + path + ": seek past end (truncated?)");
-  }
-  if (std::fread(out, 1, n, f) != n) {
-    return Status::DataLoss("store " + path + ": short read (truncated?)");
+  while (n > 0) {
+    const ssize_t got = ::pread(fd, out, n, static_cast<off_t>(offset));
+    if (got > 0) {
+      out += got;
+      offset += static_cast<uint64_t>(got);
+      n -= static_cast<size_t>(got);
+    } else if (got == 0) {
+      return Status::DataLoss("store " + path + ": short read (truncated?)");
+    } else if (errno != EINTR) {
+      return Status::IoError("read failed on store " + path + ": " +
+                             std::strerror(errno));
+    }
   }
   return Status::OK();
 }
@@ -197,6 +212,71 @@ Result<Trajectory> ParseTrajectoryRecord(std::string_view payload,
   return t;
 }
 
+static_assert(std::is_trivially_copyable_v<Point> &&
+                  sizeof(Point) == kPointSize,
+              "v2 payloads copy Point arrays as raw (x, y, t) doubles");
+
+void AppendBinaryTrajectoryRecord(std::string* out, const Trajectory& t) {
+  const size_t start = out->size();
+  out->resize(start + kRecordHeaderSize + t.size() * kPointSize);
+  char* p = out->data() + start;
+  PutU64(p + 0, static_cast<uint64_t>(t.id()));
+  PutU64(p + 8, static_cast<uint64_t>(t.object_id()));
+  PutU64(p + 16, static_cast<uint64_t>(t.parent_id()));
+  PutU64(p + 24, static_cast<uint64_t>(int64_t{t.requirement().k}));
+  PutF64(p + 32, t.requirement().delta);
+  PutU64(p + 40, t.size());
+  p += kRecordHeaderSize;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (!t.points().empty()) {  // an empty vector's data() may be null
+      std::memcpy(p, t.points().data(), t.size() * kPointSize);
+    }
+  } else {
+    for (const Point& q : t.points()) {
+      PutF64(p, q.x);
+      PutF64(p + 8, q.y);
+      PutF64(p + 16, q.t);
+      p += kPointSize;
+    }
+  }
+}
+
+Result<Trajectory> ParseBinaryTrajectoryRecord(std::string_view payload) {
+  if (payload.size() < kRecordHeaderSize) {
+    return Status::DataLoss("store record: payload shorter than its header");
+  }
+  const char* p = payload.data();
+  const int64_t k = static_cast<int64_t>(GetU64(p + 24));
+  if (k < std::numeric_limits<int>::min() ||
+      k > std::numeric_limits<int>::max()) {
+    return Status::DataLoss("store record: k out of range");
+  }
+  const uint64_t n = GetU64(p + 40);
+  const size_t body = payload.size() - kRecordHeaderSize;
+  if (body % kPointSize != 0 || n != body / kPointSize) {
+    return Status::DataLoss(
+        "store record: point count does not match payload size");
+  }
+  std::vector<Point> points(static_cast<size_t>(n));
+  p += kRecordHeaderSize;
+  if constexpr (std::endian::native == std::endian::little) {
+    if (body != 0) {
+      std::memcpy(points.data(), p, body);
+    }
+  } else {
+    for (Point& q : points) {
+      q = Point{GetF64(p), GetF64(p + 8), GetF64(p + 16)};
+      p += kPointSize;
+    }
+  }
+  p = payload.data();
+  Trajectory t(static_cast<int64_t>(GetU64(p)), std::move(points),
+               Requirement{static_cast<int>(k), GetF64(p + 32)});
+  t.set_object_id(static_cast<int64_t>(GetU64(p + 8)));
+  t.set_parent_id(static_cast<int64_t>(GetU64(p + 16)));
+  return t;
+}
+
 Result<TrajectoryStoreWriter> TrajectoryStoreWriter::Create(
     const std::string& path) {
   WCOP_FAILPOINT("store.create");
@@ -232,22 +312,19 @@ Status TrajectoryStoreWriter::Append(const Trajectory& t) {
   }
   WCOP_RETURN_IF_ERROR(t.Validate());
   WCOP_FAILPOINT("store.write_block");
-  std::string payload;
-  payload.reserve(64 + t.size() * 60);
-  AppendTrajectoryRecord(&payload, t);
-  if (payload.size() > std::numeric_limits<uint32_t>::max()) {
+  block_.assign(kBlockHeaderSize, '\0');
+  AppendBinaryTrajectoryRecord(&block_, t);
+  const size_t payload_size = block_.size() - kBlockHeaderSize;
+  if (payload_size > std::numeric_limits<uint32_t>::max()) {
     return Status::InvalidArgument("trajectory record exceeds block limit");
   }
-  char block_header[kBlockHeaderSize];
-  PutU32(block_header, static_cast<uint32_t>(payload.size()));
-  PutU32(block_header + 4, Crc32(payload));
-  WCOP_RETURN_IF_ERROR(WriteAll(file_.get(), block_header, kBlockHeaderSize,
-                                tmp_path_));
-  WCOP_RETURN_IF_ERROR(WriteAll(file_.get(), payload.data(), payload.size(),
-                                tmp_path_));
-  index_.push_back(
-      MakeEntry(t, offset_, kBlockHeaderSize + payload.size()));
-  offset_ += kBlockHeaderSize + payload.size();
+  PutU32(block_.data(), static_cast<uint32_t>(payload_size));
+  PutU32(block_.data() + 4,
+         Crc32(std::string_view(block_).substr(kBlockHeaderSize)));
+  WCOP_RETURN_IF_ERROR(
+      WriteAll(file_.get(), block_.data(), block_.size(), tmp_path_));
+  index_.push_back(MakeEntry(t, offset_, block_.size()));
+  offset_ += block_.size();
   return Status::OK();
 }
 
@@ -315,38 +392,35 @@ Result<TrajectoryStoreReader> TrajectoryStoreReader::Open(
   WCOP_FAILPOINT("store.open");
   TrajectoryStoreReader r;
   r.path_ = path;
-  r.mutex_ = std::make_unique<std::mutex>();
-  r.file_.reset(std::fopen(path.c_str(), "rb"));
-  if (r.file_ == nullptr) {
+  r.fd_.fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (r.fd_.fd < 0) {
     return Status::NotFound("cannot open store " + path + ": " +
                             std::strerror(errno));
   }
-  std::FILE* f = r.file_.get();
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    return Status::IoError("seek failed on " + path);
+  const int fd = r.fd_.fd;
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    return Status::IoError("stat failed on " + path + ": " +
+                           std::strerror(errno));
   }
-  const long end = std::ftell(f);
-  if (end < 0) {
-    return Status::IoError("ftell failed on " + path);
-  }
-  const uint64_t file_size = static_cast<uint64_t>(end);
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
   if (file_size < kHeaderSize + kFooterSize) {
     return Status::DataLoss("store " + path + ": file too small");
   }
   char header[kHeaderSize];
-  WCOP_RETURN_IF_ERROR(ReadExact(f, 0, header, kHeaderSize, path));
+  WCOP_RETURN_IF_ERROR(ReadExact(fd, 0, header, kHeaderSize, path));
   if (std::memcmp(header, kFileMagic, 8) != 0) {
     return Status::DataLoss("store " + path + ": bad magic");
   }
-  const uint32_t version = GetU32(header + 8);
-  if (version != kStoreFormatVersion) {
+  r.version_ = GetU32(header + 8);
+  if (r.version_ != 1 && r.version_ != kStoreFormatVersion) {
     return Status::FailedPrecondition("store " + path +
                                       ": unsupported version " +
-                                      std::to_string(version));
+                                      std::to_string(r.version_));
   }
   char footer[kFooterSize];
   WCOP_RETURN_IF_ERROR(
-      ReadExact(f, file_size - kFooterSize, footer, kFooterSize, path));
+      ReadExact(fd, file_size - kFooterSize, footer, kFooterSize, path));
   if (std::memcmp(footer + 8, kEndMagic, 8) != 0) {
     return Status::DataLoss("store " + path +
                             ": missing end marker (truncated?)");
@@ -358,7 +432,7 @@ Result<TrajectoryStoreReader> TrajectoryStoreReader::Open(
   }
   WCOP_FAILPOINT("store.read_index");
   char index_header[16];
-  WCOP_RETURN_IF_ERROR(ReadExact(f, index_offset, index_header, 16, path));
+  WCOP_RETURN_IF_ERROR(ReadExact(fd, index_offset, index_header, 16, path));
   if (std::memcmp(index_header, kIndexMagic, 8) != 0) {
     return Status::DataLoss("store " + path + ": bad index marker");
   }
@@ -372,10 +446,10 @@ Result<TrajectoryStoreReader> TrajectoryStoreReader::Open(
   }
   std::string section(index_bytes, '\0');
   WCOP_RETURN_IF_ERROR(
-      ReadExact(f, index_offset + 8, section.data(), section.size(), path));
+      ReadExact(fd, index_offset + 8, section.data(), section.size(), path));
   char crc_buf[4];
   WCOP_RETURN_IF_ERROR(
-      ReadExact(f, index_offset + 8 + index_bytes, crc_buf, 4, path));
+      ReadExact(fd, index_offset + 8 + index_bytes, crc_buf, 4, path));
   if (Crc32(section) != GetU32(crc_buf)) {
     return Status::DataLoss("store " + path + ": index CRC mismatch");
   }
@@ -410,11 +484,8 @@ Result<Trajectory> TrajectoryStoreReader::Read(size_t i) const {
   WCOP_FAILPOINT("store.read_block");
   const StoreEntry& e = index_[i];
   std::string block(e.block_size, '\0');
-  {
-    std::lock_guard<std::mutex> lock(*mutex_);
-    WCOP_RETURN_IF_ERROR(
-        ReadExact(file_.get(), e.offset, block.data(), block.size(), path_));
-  }
+  WCOP_RETURN_IF_ERROR(
+      ReadExact(fd_.fd, e.offset, block.data(), block.size(), path_));
   const uint32_t payload_size = GetU32(block.data());
   const uint32_t crc = GetU32(block.data() + 4);
   if (payload_size != e.block_size - kBlockHeaderSize) {
@@ -428,12 +499,33 @@ Result<Trajectory> TrajectoryStoreReader::Read(size_t i) const {
                             std::to_string(i) + " CRC mismatch");
   }
   size_t pos = 0;
-  WCOP_ASSIGN_OR_RETURN(Trajectory t, ParseTrajectoryRecord(payload, &pos));
-  if (t.id() != e.id || t.size() != e.num_points) {
+  Result<Trajectory> t = version_ == 1 ? ParseTrajectoryRecord(payload, &pos)
+                                       : ParseBinaryTrajectoryRecord(payload);
+  if (t.ok() && (t->id() != e.id || t->size() != e.num_points)) {
     return Status::DataLoss("store " + path_ + ": block " +
                             std::to_string(i) + " does not match index");
   }
   return t;
+}
+
+TrajectoryStoreReader::Fd::Fd(Fd&& other) noexcept
+    : fd(std::exchange(other.fd, -1)) {}
+
+TrajectoryStoreReader::Fd& TrajectoryStoreReader::Fd::operator=(
+    Fd&& other) noexcept {
+  if (this != &other) {
+    if (fd >= 0) {
+      ::close(fd);
+    }
+    fd = std::exchange(other.fd, -1);
+  }
+  return *this;
+}
+
+TrajectoryStoreReader::Fd::~Fd() {
+  if (fd >= 0) {
+    ::close(fd);
+  }
 }
 
 Result<Trajectory> TrajectoryStoreReader::ReadById(int64_t id) const {

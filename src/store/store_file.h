@@ -7,21 +7,22 @@
 /// A store file holds one trajectory per block plus a metadata-rich index,
 /// so a reader can partition or randomly access a multi-gigabyte dataset
 /// without ever materializing it. Layout (all integers little-endian, all
-/// doubles shortest round-trip text in blocks / raw IEEE-754 bits in the
-/// index):
+/// doubles raw IEEE-754 bits, little-endian):
 ///
 ///   [0..8)    magic "WCOPSTR1"
-///   [8..12)   format version (u32)
+///   [8..12)   format version (u32): 2 from this build, 1 still read
 ///   [12..16)  reserved (u32, zero)
 ///   blocks    one per trajectory, appended in write order:
 ///               u32 payload_size | u32 crc32(payload) | payload
-///             payload is the text record of AppendTrajectoryRecord():
-///               "traj <id> <object_id> <parent_id> <k> <delta> <n>\n"
-///               then n lines "<x> <y> <t>\n", numbers in the
-///               common/number_codec.h spelling (shortest decimal that
-///               parses back to the same bits). Version-1 files from older
-///               builds spell doubles %.17g; both spellings parse to the
-///               same bits, so readers and writers of either age interoperate.
+///             version 2 payload (AppendBinaryTrajectoryRecord()):
+///               48-byte header: id, object_id, parent_id, k (i64 each),
+///               delta (f64), n (u64); then n * (x, y, t) as f64, so
+///               payload_size is exactly 48 + 24 * n.
+///             version 1 payload (read-only): the text record of
+///               AppendTrajectoryRecord(), "traj <id> <object_id>
+///               <parent_id> <k> <delta> <n>\n" then n lines "<x> <y> <t>\n"
+///               in the common/number_codec.h spelling (older builds wrote
+///               %.17g; both parse to the same bits).
 ///   index     "WCOPSIDX" | u64 count | count * 104-byte entries | u32 crc
 ///             each entry: id, offset, block_size, num_points (8 bytes
 ///             each), then k, delta, MBR min_x/min_y/max_x/max_y,
@@ -38,7 +39,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -55,8 +55,9 @@
 namespace wcop {
 namespace store {
 
-/// Store file format version written by this build.
-inline constexpr uint32_t kStoreFormatVersion = 1;
+/// Store file format version written by this build. Readers also accept
+/// version 1 (text block payloads).
+inline constexpr uint32_t kStoreFormatVersion = 2;
 
 /// One index row: everything the partitioner and the random-access reader
 /// need to know about a trajectory without touching its block.
@@ -71,14 +72,24 @@ struct StoreEntry {
   double t_min = 0.0, t_max = 0.0;  ///< trajectory lifetime
 };
 
-/// Appends the lossless text record of `t` to `*out`. Exposed so the shard
-/// checkpoint codec can reuse the exact block encoding.
+/// Appends the lossless, self-delimiting text record of `t` to `*out`: the
+/// trajectory record of the shard checkpoint codec, and the block payload
+/// of version-1 stores (which this build reads but no longer writes).
 void AppendTrajectoryRecord(std::string* out, const Trajectory& t);
 
-/// Parses one record starting at `*pos` in `payload`; advances `*pos` past
-/// it. Returns kDataLoss on any malformed content.
+/// Parses one text record starting at `*pos` in `payload`; advances `*pos`
+/// past it. Returns kDataLoss on any malformed content.
 Result<Trajectory> ParseTrajectoryRecord(std::string_view payload,
                                          size_t* pos);
+
+/// Appends the version-2 block payload of `t` to `*out`: the 48-byte header
+/// and the raw point doubles of the layout above.
+void AppendBinaryTrajectoryRecord(std::string* out, const Trajectory& t);
+
+/// Decodes a version-2 block payload; the whole of `payload` must be one
+/// record. Returns kDataLoss when it is shorter than the header, when its
+/// size is not 48 + 24 * n, or when k does not fit an int.
+Result<Trajectory> ParseBinaryTrajectoryRecord(std::string_view payload);
 
 /// Streaming store writer: Append() trajectories one at a time (nothing but
 /// the index row is retained in memory), then Finish() writes the index and
@@ -121,14 +132,17 @@ class TrajectoryStoreWriter {
   ScopedLiveArtifact live_tmp_;
   std::unique_ptr<std::FILE, FileCloser> file_;
   std::vector<StoreEntry> index_;
+  std::string block_;  // reused encode buffer: block header + payload
   uint64_t offset_ = 0;
   bool finished_ = false;
 };
 
 /// Random-access store reader. Open() loads and verifies only the header
 /// and the index; trajectory blocks are read (and CRC-checked) on demand,
-/// so memory stays proportional to the index, not the dataset. All Read*
-/// methods are thread-safe (reads are serialized on an internal mutex).
+/// so memory stays proportional to the index, not the dataset. Both format
+/// versions are read; the one found at Open() picks the block decoder. All
+/// Read* methods are thread-safe: each block is one positioned read
+/// (pread(2)) on a shared descriptor, with no lock.
 class TrajectoryStoreReader {
  public:
   static Result<TrajectoryStoreReader> Open(const std::string& path);
@@ -157,21 +171,22 @@ class TrajectoryStoreReader {
  private:
   TrajectoryStoreReader() = default;
 
-  struct FileCloser {
-    void operator()(std::FILE* f) const {
-      if (f != nullptr) {
-        std::fclose(f);
-      }
-    }
+  // Owns the read-only descriptor; move-only, so the reader stays movable
+  // (Result<T> requires it).
+  struct Fd {
+    int fd = -1;
+    Fd() = default;
+    Fd(Fd&& other) noexcept;
+    Fd& operator=(Fd&& other) noexcept;
+    ~Fd();
   };
 
   std::string path_;
-  std::unique_ptr<std::FILE, FileCloser> file_;
+  Fd fd_;
+  uint32_t version_ = 0;
   std::vector<StoreEntry> index_;
   std::unordered_map<int64_t, size_t> by_id_;
   uint64_t total_points_ = 0;
-  // unique_ptr keeps the reader movable (Result<T> requires it).
-  mutable std::unique_ptr<std::mutex> mutex_;
 };
 
 /// Writes every trajectory of `dataset` to a store file at `path`

@@ -17,6 +17,7 @@
 #include "anon/wcop_ct.h"
 #include "common/rng.h"
 #include "data/geolife_parser.h"
+#include "store/store_file.h"
 #include "test_util.h"
 #include "traj/io.h"
 
@@ -116,6 +117,50 @@ TEST_F(FuzzRobustnessTest, PltParserSurvivesPathologicalNumbers) {
   if (r.ok()) {
     EXPECT_TRUE(r->Validate().ok());  // non-finite points must not survive
   }
+}
+
+// A v2 store block whose payload is mutated or truncated at random, with
+// the block CRC recomputed so the damage reaches the decoder: every read
+// must either decode (consistently with the index row) or be kDataLoss.
+TEST_F(FuzzRobustnessTest, StoreV2PayloadSurvivesRandomMutations) {
+  const Trajectory original = testing_util::MakeLineWithReq(
+      /*id=*/5, 100.0, 200.0, 3.5, -1.25, /*n=*/12, /*k=*/3, /*delta=*/80.0);
+  std::string good;
+  store::AppendBinaryTrajectoryRecord(&good, original);
+  Rng rng(303);
+  size_t decoded = 0;
+  size_t rejected = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::string payload = good;
+    if (rng.UniformInt(0, 3) == 0) {
+      payload.resize(rng.UniformIndex(good.size() + 1));
+    } else {
+      const int64_t edits = rng.UniformInt(1, 4);
+      for (int64_t e = 0; e < edits; ++e) {
+        payload[rng.UniformIndex(payload.size())] =
+            static_cast<char>(rng.UniformInt(0, 255));
+      }
+    }
+    const std::string path = WriteBytes(
+        "mutated.wst",
+        testing_util::BuildStoreBytes(2, {original}, {payload}));
+    Result<store::TrajectoryStoreReader> reader =
+        store::TrajectoryStoreReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    Result<Trajectory> t = reader->Read(0);
+    if (t.ok()) {
+      EXPECT_EQ(t->id(), original.id());
+      EXPECT_EQ(t->size(), original.size());
+      ++decoded;
+    } else {
+      ASSERT_EQ(t.status().code(), StatusCode::kDataLoss)
+          << "round " << round << ": " << t.status();
+      ++rejected;
+    }
+  }
+  // Both outcomes occur: coordinate edits decode, header damage is caught.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -323,6 +323,78 @@ TEST_F(PipelineTest, ExtractWindowSpillsAndMergesCarry) {
   EXPECT_EQ(merged->requirement().delta, 120.0);
 }
 
+// A --resume across the store format upgrade: the last window published
+// by an older build left a v1 carry store; the next window, extracted by
+// this build, must write the same window and carry bytes as from the v2
+// carry this build would have written itself.
+TEST_F(PipelineTest, ExtractWindowFromVersion1CarryMatchesVersion2Carry) {
+  // Trajectory 1 (t = 90..190) carries one point from window [0,100) into
+  // a fragment of window [100,200). Trajectory 2 samples once per window
+  // (t = 90, 190, 290), so with min 3 points it is carried out of window
+  // [100,200) again: both carry stores of window 1 are non-empty.
+  std::vector<Trajectory> trajectories;
+  std::vector<Point> pts;
+  for (int i = 0; i < 11; ++i) {
+    pts.emplace_back(5.0 * i, 0.0, 90.0 + 10.0 * i);
+  }
+  trajectories.emplace_back(1, pts, Requirement{3, 120.0});
+  trajectories.back().set_object_id(42);
+  trajectories.emplace_back(
+      2,
+      std::vector<Point>{{700.0, 1.5, 90.0}, {701.0, 2.5, 190.0},
+                         {702.0, 3.5, 290.0}},
+      Requirement{2, 75.0});
+  trajectories.back().set_object_id(43);
+  const std::string source = WriteSource(Dataset(std::move(trajectories)));
+  Result<store::TrajectoryStoreReader> reader =
+      store::TrajectoryStoreReader::Open(source);
+  ASSERT_TRUE(reader.ok());
+
+  store::WindowExtractOptions w0;
+  w0.window_start = 0.0;
+  w0.window_end = 100.0;
+  w0.min_fragment_points = 3;
+  w0.window_out_path = Path("win0.wst");
+  w0.carry_out_path = Path("carry1.wst");
+  ASSERT_TRUE(ExtractWindow(*reader, w0).ok());
+
+  // The same carry records, as a v1 store.
+  Result<store::TrajectoryStoreReader> carry =
+      store::TrajectoryStoreReader::Open(Path("carry1.wst"));
+  ASSERT_TRUE(carry.ok());
+  Result<Dataset> carried = carry->ReadAll();
+  ASSERT_TRUE(carried.ok());
+  ASSERT_EQ(carried->size(), 2u);
+  {
+    std::ofstream out(Path("carry1_v1.wst"), std::ios::binary);
+    out << testing_util::BuildV1StoreBytes(*carried);
+  }
+
+  // Format version: byte 8 of the store header.
+  ASSERT_EQ(ReadBytes(Path("carry1.wst"))[8], 2);
+  ASSERT_EQ(ReadBytes(Path("carry1_v1.wst"))[8], 1);
+
+  std::map<std::string, std::string> outputs;
+  for (const std::string carry_in : {"carry1.wst", "carry1_v1.wst"}) {
+    store::WindowExtractOptions w1 = w0;
+    w1.window_start = 100.0;
+    w1.window_end = 200.0;
+    w1.next_fragment_id = 100;
+    w1.carry_in_path = Path(carry_in);
+    w1.window_out_path = Path("win1_from_" + carry_in);
+    w1.carry_out_path = Path("carry2_from_" + carry_in);
+    Result<store::WindowExtraction> x = ExtractWindow(*reader, w1);
+    ASSERT_TRUE(x.ok()) << x.status();
+    EXPECT_EQ(x->carried_in, 2u);
+    EXPECT_EQ(x->fragments, 1u);
+    EXPECT_EQ(x->carried_out, 1u);
+    outputs["win:" + carry_in] = ReadBytes(w1.window_out_path);
+    outputs["carry:" + carry_in] = ReadBytes(w1.carry_out_path);
+  }
+  EXPECT_EQ(outputs["win:carry1.wst"], outputs["win:carry1_v1.wst"]);
+  EXPECT_EQ(outputs["carry:carry1.wst"], outputs["carry:carry1_v1.wst"]);
+}
+
 TEST_F(PipelineTest, ExtractWindowSuppressesShortFinalFragment) {
   // Both trajectories end inside window [0, 100), so a short fragment has
   // nothing to carry into and is suppressed for good: one sample at t=95,

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "common/failpoint.h"
+#include "common/rng.h"
 
 namespace wcop {
 namespace {
@@ -52,6 +55,47 @@ TEST_F(SnapshotTest, Crc32KnownVectors) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"),
             0x414FA339u);
+}
+
+// The textbook bitwise CRC-32: no table, one polynomial step per bit. The
+// reference the slicing-by-8 implementation must agree with everywhere.
+uint32_t BitwiseCrc32(std::string_view data) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (const char ch : data) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (0xEDB88320u ^ (crc >> 1)) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+std::string RandomBytes(Rng* rng, size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) {
+    c = static_cast<char>(rng->UniformInt(0, 255));
+  }
+  return out;
+}
+
+// Every length 0..300 at every start offset 0..7: covers each tail length
+// of the 8-byte main loop and each alignment of the input pointer.
+TEST_F(SnapshotTest, Crc32MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  Rng rng(17);
+  const std::string buffer = RandomBytes(&rng, 300 + 8);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t length = 0; length <= 300; ++length) {
+      const std::string_view slice(buffer.data() + offset, length);
+      ASSERT_EQ(Crc32(slice), BitwiseCrc32(slice))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST_F(SnapshotTest, Crc32MatchesBitwiseReferenceOnOneMebibyte) {
+  Rng rng(29);
+  const std::string bytes = RandomBytes(&rng, size_t{1} << 20);
+  EXPECT_EQ(Crc32(bytes), BitwiseCrc32(bytes));
 }
 
 // ---------------------------------------------------------------------------

@@ -126,10 +126,13 @@ TEST(StoreFileTest, ReadByIdAndNotFound) {
 // CSV -> store -> CSV must reproduce the CSV byte-for-byte: the parsed
 // doubles are stored losslessly, so re-printing them %.6f gives back the
 // exact original text (coordinates, timestamps, and (k, delta) included).
+// Both store versions: the v2 store this build writes, and a v1 store of
+// the same parsed dataset, built by hand as older builds wrote it.
 TEST(StoreFileTest, CsvStoreCsvRoundTripIsByteIdentical) {
   const Dataset dataset = SmallSynthetic(16, 30);
   const std::string csv_in = TempPath("store_rt_in.csv");
   const std::string store_path = TempPath("store_rt.wst");
+  const std::string v1_path = TempPath("store_rt_v1.wst");
   const std::string csv_out = TempPath("store_rt_out.csv");
   ASSERT_TRUE(WriteDatasetCsv(dataset, csv_in).ok());
 
@@ -137,13 +140,22 @@ TEST(StoreFileTest, CsvStoreCsvRoundTripIsByteIdentical) {
   ASSERT_TRUE(to_store.ok()) << to_store.status();
   EXPECT_EQ(to_store->trajectories, dataset.size());
   EXPECT_EQ(to_store->points, dataset.TotalPoints());
+  Result<Dataset> parsed = ReadDatasetCsv(csv_in);
+  ASSERT_TRUE(parsed.ok()) << parsed.status();
+  WriteFileBytes(v1_path, testing_util::BuildV1StoreBytes(*parsed));
 
-  Result<StoreConvertStats> to_csv = ConvertStoreToCsv(store_path, csv_out);
-  ASSERT_TRUE(to_csv.ok()) << to_csv.status();
-  EXPECT_EQ(ReadFileBytes(csv_in), ReadFileBytes(csv_out));
+  for (const auto& [path, version] :
+       {std::pair{store_path, kStoreFormatVersion}, std::pair{v1_path, 1u}}) {
+    EXPECT_EQ(ReadFileBytes(path)[8], static_cast<char>(version));
+    Result<StoreConvertStats> to_csv = ConvertStoreToCsv(path, csv_out);
+    ASSERT_TRUE(to_csv.ok()) << to_csv.status();
+    EXPECT_EQ(ReadFileBytes(csv_in), ReadFileBytes(csv_out))
+        << "version " << version;
+  }
 
   std::filesystem::remove(csv_in);
   std::filesystem::remove(store_path);
+  std::filesystem::remove(v1_path);
   std::filesystem::remove(csv_out);
 }
 
@@ -357,7 +369,9 @@ TEST(StoreFileTest, NumberCodecRoundTripIsBitwise) {
   EXPECT_TRUE(std::isnan(*codec::ParseDouble(nan_text)));
 }
 
-TEST(StoreFileTest, AwkwardCoordinatesSurviveTheStoreBitwise) {
+// Every awkward double in one trajectory, with extreme ids and a subnormal
+// delta.
+Trajectory AwkwardTrajectory() {
   std::vector<Point> points;
   double t = -1e300;
   for (const double v : AwkwardDoubles()) {
@@ -368,6 +382,11 @@ TEST(StoreFileTest, AwkwardCoordinatesSurviveTheStoreBitwise) {
                      Requirement{3, std::numeric_limits<double>::denorm_min()});
   awkward.set_object_id(std::numeric_limits<int64_t>::min());
   awkward.set_parent_id(-1);
+  return awkward;
+}
+
+TEST(StoreFileTest, AwkwardCoordinatesSurviveTheStoreBitwise) {
+  const Trajectory awkward = AwkwardTrajectory();
   Dataset dataset;
   dataset.Add(awkward);
   const std::string path = TempPath("store_awkward.wst");
@@ -384,9 +403,174 @@ TEST(StoreFileTest, AwkwardCoordinatesSurviveTheStoreBitwise) {
   std::filesystem::remove(path);
 }
 
-// A block payload in the pre-upgrade printf("%.17g") spelling, written by
-// hand: the current parser must read it to the same bits, so stores written
-// by older builds stay readable without a format-version bump.
+// ---------------------------------------------------------------------------
+// Format versions: the writer emits v2 in exactly the documented layout, and
+// v1 stores (text payloads, which this build no longer writes) still read.
+// ---------------------------------------------------------------------------
+
+std::vector<std::string> BinaryPayloads(const Dataset& dataset) {
+  std::vector<std::string> payloads;
+  for (const Trajectory& t : dataset.trajectories()) {
+    payloads.emplace_back();
+    AppendBinaryTrajectoryRecord(&payloads.back(), t);
+  }
+  return payloads;
+}
+
+TEST(StoreFileTest, WriterEmitsTheDocumentedVersion2Layout) {
+  Dataset dataset = SmallSynthetic(6, 9);
+  dataset.Add(AwkwardTrajectory());
+  const std::string path = TempPath("store_v2_layout.wst");
+  ASSERT_TRUE(WriteDatasetStore(dataset, path).ok());
+  EXPECT_EQ(ReadFileBytes(path),
+            testing_util::BuildStoreBytes(2, dataset.trajectories(),
+                                          BinaryPayloads(dataset)));
+  // 48-byte header + 24 bytes per point, nothing else.
+  std::string payload;
+  AppendBinaryTrajectoryRecord(&payload, dataset[0]);
+  EXPECT_EQ(payload.size(), 48 + 24 * dataset[0].size());
+  std::filesystem::remove(path);
+}
+
+TEST(StoreFileTest, Version1StoreReadsBackBitExact) {
+  Dataset dataset = SmallSynthetic(12, 20);
+  dataset.Add(AwkwardTrajectory());
+  const std::string path = TempPath("store_v1.wst");
+  WriteFileBytes(path, testing_util::BuildV1StoreBytes(dataset));
+
+  Result<TrajectoryStoreReader> reader = TrajectoryStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_EQ(reader->total_points(), dataset.TotalPoints());
+  Result<Dataset> back = reader->ReadAll();
+  ASSERT_TRUE(back.ok()) << back.status();
+  ASSERT_EQ(back->size(), dataset.size());
+  for (size_t i = 0; i < dataset.size(); ++i) {
+    ExpectBitExact(dataset[i], (*back)[i]);
+  }
+  const Trajectory& awkward = back->trajectories().back();
+  for (size_t i = 0; i < awkward.size(); ++i) {
+    EXPECT_EQ(Bits(awkward.points()[i].x),
+              Bits(dataset.trajectories().back().points()[i].x))
+        << i;
+  }
+  Result<Trajectory> by_id = reader->ReadById(dataset[4].id());
+  ASSERT_TRUE(by_id.ok()) << by_id.status();
+  ExpectBitExact(dataset[4], *by_id);
+  std::filesystem::remove(path);
+}
+
+// Blocks whose CRC is valid but whose v2 contents are malformed: the CRC
+// cannot catch these, so the decoder and the index cross-check must.
+TEST(StoreFileTest, MalformedVersion2BlocksWithValidCrcAreDataLoss) {
+  const Dataset dataset = SmallSynthetic(2, 6);
+  const Trajectory& t = dataset[0];
+  std::string good;
+  AppendBinaryTrajectoryRecord(&good, t);
+  const auto set_u64 = [](std::string bytes, size_t at, uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      bytes[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+    return bytes;
+  };
+  // An index row for a trajectory with another id / another point count.
+  Trajectory other_id = t;
+  other_id.set_id(t.id() + 1000);
+  Trajectory fewer_points(t.id(),
+                          std::vector<Point>(t.points().begin(),
+                                             t.points().end() - 1),
+                          t.requirement());
+  struct Case {
+    const char* name;
+    Trajectory row;
+    std::string payload;
+  };
+  const std::vector<Case> cases = {
+      {"shorter than the header", t, good.substr(0, 40)},
+      {"empty payload", t, std::string()},
+      {"n one too many", t, set_u64(good, 40, t.size() + 1)},
+      {"n one too few", t, set_u64(good, 40, t.size() - 1)},
+      {"n huge", t, set_u64(good, 40, ~uint64_t{0})},
+      {"trailing bytes", t, good + "xyz"},
+      {"missing last byte", t, good.substr(0, good.size() - 1)},
+      {"k above int", t, set_u64(good, 24, uint64_t{1} << 40)},
+      {"k below int", t,
+       set_u64(good, 24, static_cast<uint64_t>(-(int64_t{1} << 40)))},
+      {"id disagrees with index", other_id, good},
+      {"n disagrees with index", fewer_points, good},
+  };
+  const std::string path = TempPath("store_v2_malformed.wst");
+  for (const Case& c : cases) {
+    WriteFileBytes(path, testing_util::BuildStoreBytes(2, {c.row}, {c.payload}));
+    Result<TrajectoryStoreReader> reader = TrajectoryStoreReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << c.name << ": " << reader.status();
+    Result<Trajectory> back = reader->Read(0);
+    ASSERT_FALSE(back.ok()) << c.name;
+    EXPECT_EQ(back.status().code(), StatusCode::kDataLoss)
+        << c.name << ": " << back.status();
+  }
+  // The unmodified control decodes.
+  WriteFileBytes(path, testing_util::BuildStoreBytes(2, {t}, {good}));
+  Result<TrajectoryStoreReader> reader = TrajectoryStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  Result<Trajectory> back = reader->Read(0);
+  ASSERT_TRUE(back.ok()) << back.status();
+  ExpectBitExact(t, *back);
+  std::filesystem::remove(path);
+}
+
+// Reads are positioned (pread) on one shared descriptor with no lock:
+// threads reading every block in different orders all get exact data.
+TEST(StoreFileTest, ConcurrentReadsAreBitExact) {
+  const Dataset dataset = SmallSynthetic(40, 30);
+  const std::string path = TempPath("store_concurrent.wst");
+  ASSERT_TRUE(WriteDatasetStore(dataset, path).ok());
+  Result<TrajectoryStoreReader> reader = TrajectoryStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  std::atomic<size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (size_t w = 0; w < 4; ++w) {
+    threads.emplace_back([&, w] {
+      for (size_t round = 0; round < 5; ++round) {
+        for (size_t j = 0; j < dataset.size(); ++j) {
+          const size_t i = (j * (2 * w + 1) + round) % dataset.size();
+          Result<Trajectory> t = reader->Read(i);
+          if (!t.ok() || t->points() != dataset[i].points() ||
+              t->id() != dataset[i].id()) {
+            ++mismatches;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) {
+    th.join();
+  }
+  EXPECT_EQ(mismatches.load(), 0u);
+  std::filesystem::remove(path);
+}
+
+// A store truncated under an open reader: the positioned read hits end of
+// file, which is kDataLoss like any other truncation.
+TEST(StoreFileTest, TruncationUnderAnOpenReaderIsDataLoss) {
+  const Dataset dataset = SmallSynthetic(6, 16);
+  const std::string path = TempPath("store_trunc_open.wst");
+  ASSERT_TRUE(WriteDatasetStore(dataset, path).ok());
+  Result<TrajectoryStoreReader> reader = TrajectoryStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const StoreEntry& last = reader->index().back();
+  std::filesystem::resize_file(path, last.offset + last.block_size / 2);
+  Result<Trajectory> torn = reader->Read(reader->size() - 1);
+  ASSERT_FALSE(torn.ok());
+  EXPECT_EQ(torn.status().code(), StatusCode::kDataLoss) << torn.status();
+  Result<Trajectory> first = reader->Read(0);
+  ASSERT_TRUE(first.ok()) << first.status();
+  ExpectBitExact(dataset[0], *first);
+  std::filesystem::remove(path);
+}
+
+// A text record in the printf("%.17g") spelling of the oldest builds,
+// written by hand: the text parser must read it to the same bits, so v1
+// stores of either spelling stay readable.
 TEST(StoreFileTest, LegacyPercent17gPayloadParsesToTheSameBits) {
   const Dataset dataset = SmallSynthetic(3, 12);
   for (const Trajectory& t : dataset.trajectories()) {

@@ -1,10 +1,15 @@
 #ifndef WCOP_TESTS_TEST_UTIL_H_
 #define WCOP_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "common/snapshot.h"
 #include "data/synthetic.h"
+#include "store/store_file.h"
 #include "traj/dataset.h"
 #include "traj/trajectory.h"
 
@@ -75,6 +80,75 @@ inline Dataset GapDataset() {
     }
   }
   return Dataset(std::move(trajectories));
+}
+
+/// Appends `v` to `*out` as 8 little-endian bytes.
+inline void AppendLe64(std::string* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+inline void AppendLeDouble(std::string* out, double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  AppendLe64(out, bits);
+}
+
+/// Store bytes assembled by hand in the layout documented in
+/// store/store_file.h, independently of TrajectoryStoreWriter: the header
+/// carries `version`, block i is `payloads[i]` under a correct CRC, and
+/// index row i describes `rows[i]` (pass a trajectory other than the one
+/// the payload encodes to build a block that disagrees with its index).
+inline std::string BuildStoreBytes(uint32_t version,
+                                   const std::vector<Trajectory>& rows,
+                                   const std::vector<std::string>& payloads) {
+  std::string out("WCOPSTR1");
+  AppendLe64(&out, version);  // u32 version | u32 reserved zero
+  std::string index;
+  AppendLe64(&index, rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Trajectory& t = rows[i];
+    const std::string& payload = payloads[i];
+    const uint64_t offset = out.size();
+    AppendLe64(&out, payload.size() |  // u32 payload_size | u32 crc32
+                         (uint64_t{Crc32(payload)} << 32));
+    out += payload;
+    const BoundingBox box = t.Bounds();
+    AppendLe64(&index, static_cast<uint64_t>(t.id()));
+    AppendLe64(&index, offset);
+    AppendLe64(&index, 8 + payload.size());
+    AppendLe64(&index, t.size());
+    AppendLe64(&index, static_cast<uint64_t>(int64_t{t.requirement().k}));
+    AppendLeDouble(&index, t.requirement().delta);
+    AppendLeDouble(&index, box.min_x());
+    AppendLeDouble(&index, box.min_y());
+    AppendLeDouble(&index, box.max_x());
+    AppendLeDouble(&index, box.max_y());
+    AppendLeDouble(&index, t.StartTime());
+    AppendLeDouble(&index, t.EndTime());
+    AppendLe64(&index, 0);  // reserved
+  }
+  const uint64_t index_offset = out.size();
+  out += "WCOPSIDX";
+  out += index;
+  std::string crc;
+  AppendLe64(&crc, Crc32(index));
+  out.append(crc, 0, 4);
+  AppendLe64(&out, index_offset);
+  out += "WCOPSEND";
+  return out;
+}
+
+/// A version-1 store of `dataset`, as builds before format version 2 wrote
+/// it: text block payloads (store::AppendTrajectoryRecord).
+inline std::string BuildV1StoreBytes(const Dataset& dataset) {
+  std::vector<std::string> payloads;
+  for (const Trajectory& t : dataset.trajectories()) {
+    payloads.emplace_back();
+    store::AppendTrajectoryRecord(&payloads.back(), t);
+  }
+  return BuildStoreBytes(1, dataset.trajectories(), payloads);
 }
 
 }  // namespace testing_util
