@@ -261,8 +261,8 @@ void BM_StoreNearestAt(benchmark::State& state) {
 BENCHMARK(BM_StoreNearestAt)->Range(64, 512);
 
 // Store record codecs over 1k records x 8 points: the text record of
-// AppendTrajectoryRecord / ParseTrajectoryRecord (shard checkpoints and v1
-// store blocks) against the v2 binary block payload the store writes. The
+// AppendTrajectoryRecord / ParseTrajectoryRecord (WCOP-B and shard
+// checkpoints, v1 store blocks) against the v2 binary block payload the store writes. The
 // `per_double` counter is seconds per double a record carries (x, y, t per
 // point, plus delta), printed with an SI prefix: "100n" is 100 ns.
 constexpr size_t kCodecRecords = 1000;

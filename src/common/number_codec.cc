@@ -41,6 +41,39 @@ void AppendDouble(std::string* out, double v) { AppendNumber(out, v); }
 void AppendUint(std::string* out, uint64_t v) { AppendNumber(out, v); }
 void AppendInt(std::string* out, int64_t v) { AppendNumber(out, v); }
 
+void AppendUintToken(std::string* out, uint64_t v) {
+  AppendUint(out, v);
+  out->push_back(' ');
+}
+
+void AppendIntToken(std::string* out, int64_t v) {
+  AppendInt(out, v);
+  out->push_back(' ');
+}
+
+void AppendDoubleToken(std::string* out, double v) {
+  AppendDouble(out, v);
+  out->push_back(' ');
+}
+
+void AppendWordToken(std::string* out, std::string_view word) {
+  out->append(word);
+  out->push_back(' ');
+}
+
+void AppendBlobToken(std::string* out, std::string_view blob) {
+  AppendUintToken(out, blob.size());
+  AppendWordToken(out, blob);
+}
+
+void EndLine(std::string* out) {
+  if (!out->empty() && out->back() == ' ') {
+    out->back() = '\n';
+  } else {
+    out->push_back('\n');
+  }
+}
+
 std::optional<double> ParseDouble(std::string_view token) {
   return ParseNumber<double>(token);
 }
@@ -94,6 +127,34 @@ Result<double> TokenScanner::NextDouble() {
     return Corrupt("bad double '" + std::string(tok.substr(0, 40)) + "'");
   }
   return *v;
+}
+
+Result<bool> TokenScanner::NextBool() {
+  WCOP_ASSIGN_OR_RETURN(uint64_t v, NextUint());
+  if (v > 1) {
+    return Corrupt("bad flag " + std::to_string(v));
+  }
+  return v == 1;
+}
+
+Result<size_t> TokenScanner::NextCount() {
+  WCOP_ASSIGN_OR_RETURN(uint64_t n, NextUint());
+  if (n > text_.size() - pos_) {
+    return Corrupt("implausible count " + std::to_string(n));
+  }
+  return static_cast<size_t>(n);
+}
+
+Result<std::string_view> TokenScanner::NextBlob() {
+  WCOP_ASSIGN_OR_RETURN(uint64_t len, NextUint());
+  // Exactly one separator between the length and the bytes.
+  if (pos_ >= text_.size() || !IsSpace(text_[pos_]) ||
+      len > text_.size() - pos_ - 1) {
+    return Corrupt("truncated blob");
+  }
+  const std::string_view blob = text_.substr(pos_ + 1, len);
+  pos_ += 1 + len;
+  return blob;
 }
 
 Status TokenScanner::Expect(std::string_view want) {

@@ -1,11 +1,17 @@
 #ifndef WCOP_COMMON_NUMBER_CODEC_H_
 #define WCOP_COMMON_NUMBER_CODEC_H_
 
-/// The one number codec of every durable text artifact: shard and WCOP-B
-/// checkpoints, window manifests and job records, plus the block records
-/// of version-1 trajectory stores, which are still read. Version-2 store
-/// blocks are binary (store/store_file.h, DESIGN.md "Dataset store &
-/// sharding").
+/// The one number and token codec of every durable text artifact: WCOP-B
+/// and shard checkpoints (one shared layout, anon/checkpoint.h), window
+/// manifests and job records, plus the block records of version-1
+/// trajectory stores, which are still read. Version-2 store blocks are
+/// binary (store/store_file.h, DESIGN.md "Dataset store & sharding").
+///
+/// Writers append tokens with the Append*Token helpers below (one token,
+/// then exactly one space; EndLine turns the last space into a newline)
+/// and readers take them back with TokenScanner, which splits on any
+/// whitespace. Strings that may hold whitespace travel as length-prefixed
+/// blobs (AppendBlobToken / TokenScanner::NextBlob).
 ///
 /// Doubles are written as the shortest decimal that parses back to the same
 /// bits (std::to_chars) and read with std::from_chars, so Append + Parse is
@@ -50,6 +56,16 @@ std::optional<double> ParseDouble(std::string_view token);
 std::optional<uint64_t> ParseUint(std::string_view token);
 std::optional<int64_t> ParseInt(std::string_view token);
 
+/// Token writers: the value, then one space separator.
+void AppendUintToken(std::string* out, uint64_t v);
+void AppendIntToken(std::string* out, int64_t v);
+void AppendDoubleToken(std::string* out, double v);
+void AppendWordToken(std::string* out, std::string_view word);
+/// "<len> <bytes> ": arbitrary bytes, whitespace included.
+void AppendBlobToken(std::string* out, std::string_view blob);
+/// Ends the line: the trailing separator becomes '\n'.
+void EndLine(std::string* out);
+
 /// Whitespace-separated token reader over a text payload. Every failure is
 /// kDataLoss with the message prefixed by `what` ("store record", ...), so
 /// a damaged artifact is rejected, never half-decoded.
@@ -65,6 +81,14 @@ class TokenScanner {
   Result<uint64_t> NextUint();
   Result<int64_t> NextInt();
   Result<double> NextDouble();
+  /// "0" or "1".
+  Result<bool> NextBool();
+  /// An element count. Every element takes at least one byte, so a count
+  /// above the bytes left is rejected before anyone reserves for it.
+  Result<size_t> NextCount();
+  /// A blob written by AppendBlobToken: the length, exactly one separator,
+  /// then that many bytes of any kind.
+  Result<std::string_view> NextBlob();
   /// Reads one token and requires it to equal `want`.
   Status Expect(std::string_view want);
 

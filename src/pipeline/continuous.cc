@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <system_error>
@@ -12,6 +11,7 @@
 
 #include "anon/checkpoint.h"
 #include "common/failpoint.h"
+#include "common/fnv1a.h"
 #include "common/log.h"
 #include "common/run_context.h"
 #include "common/telemetry.h"
@@ -24,28 +24,6 @@ namespace pipeline {
 namespace {
 
 namespace fs = std::filesystem;
-
-// FNV-1a, same constants as the checkpoint fingerprints — the pipeline
-// hashes its dataset through the store index instead of materialized
-// trajectories, so it composes WcopOptionsFingerprint with its own walk.
-constexpr uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
-
-void HashU64(uint64_t* h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    *h ^= (v >> (i * 8)) & 0xffULL;
-    *h *= kFnvPrime;
-  }
-}
-
-void HashI64(uint64_t* h, int64_t v) { HashU64(h, static_cast<uint64_t>(v)); }
-
-void HashDouble(uint64_t* h, double v) {
-  uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v), "double must be 64-bit");
-  std::memcpy(&bits, &v, sizeof(bits));
-  HashU64(h, bits);
-}
 
 std::string IndexName(const char* prefix, size_t window, const char* suffix) {
   char buf[64];
@@ -157,33 +135,35 @@ bool CarryChainIntact(const std::string& work_dir, size_t window,
 
 uint64_t PipelineConfigFingerprint(const store::TrajectoryStoreReader& source,
                                    const ContinuousPipelineOptions& options) {
-  uint64_t h = kFnvOffset;
-  HashU64(&h, 0x50495045ULL);  // "PIPE" domain separator
+  // The dataset is hashed through the store index instead of materialized
+  // trajectories, composed with the WcopOptions fingerprint.
+  Fnv1a h;
+  h.U64(0x50495045ULL);  // "PIPE" domain separator
   const std::vector<store::StoreEntry>& index = source.index();
-  HashU64(&h, index.size());
+  h.U64(index.size());
   for (const store::StoreEntry& entry : index) {
-    HashI64(&h, entry.id);
-    HashU64(&h, entry.num_points);
-    HashI64(&h, entry.k);
-    HashDouble(&h, entry.delta);
-    HashDouble(&h, entry.min_x);
-    HashDouble(&h, entry.min_y);
-    HashDouble(&h, entry.max_x);
-    HashDouble(&h, entry.max_y);
-    HashDouble(&h, entry.t_min);
-    HashDouble(&h, entry.t_max);
+    h.I64(entry.id);
+    h.U64(entry.num_points);
+    h.I64(entry.k);
+    h.Double(entry.delta);
+    h.Double(entry.min_x);
+    h.Double(entry.min_y);
+    h.Double(entry.max_x);
+    h.Double(entry.max_y);
+    h.Double(entry.t_min);
+    h.Double(entry.t_max);
   }
-  HashDouble(&h, options.window_seconds);
-  HashU64(&h, options.min_fragment_points);
+  h.Double(options.window_seconds);
+  h.U64(options.min_fragment_points);
   // max_windows is deliberately NOT hashed: a capped run is a prefix of the
   // full grid, so raising the cap must resume into the published prefix.
-  HashDouble(&h, options.partition.overlap_margin);
-  HashU64(&h, options.partition.target_shard_size);
-  HashU64(&h, options.partition.max_shard_size);
-  HashU64(&h, options.partition.min_shard_size);
-  HashU64(&h, options.partition.num_shards);
-  HashU64(&h, WcopOptionsFingerprint(options.wcop));
-  return h;
+  h.Double(options.partition.overlap_margin);
+  h.U64(options.partition.target_shard_size);
+  h.U64(options.partition.max_shard_size);
+  h.U64(options.partition.min_shard_size);
+  h.U64(options.partition.num_shards);
+  h.U64(WcopOptionsFingerprint(options.wcop));
+  return h.value();
 }
 
 Result<ContinuousPipelineResult> RunContinuousPipeline(

@@ -11,52 +11,33 @@ namespace pipeline {
 
 namespace {
 
-// Same text conventions as the shard checkpoint codec: space-separated
-// tokens, numbers in the common/number_codec.h spelling.
-
-void AppendU64(std::string* out, uint64_t v) {
-  codec::AppendUint(out, v);
-  out->push_back(' ');
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  codec::AppendInt(out, v);
-  out->push_back(' ');
-}
-
-void AppendF64(std::string* out, double v) {
-  codec::AppendDouble(out, v);
-  out->push_back(' ');
-}
-
 constexpr std::string_view kMarker = "wcop-window-manifest";
 
 }  // namespace
 
 std::string EncodeWindowManifest(const WindowManifest& m) {
   std::string out;
-  out.append(kMarker);
-  out.push_back(' ');
-  AppendU64(&out, m.config_fingerprint);
-  AppendU64(&out, m.window_index);
-  AppendF64(&out, m.window_start);
-  AppendF64(&out, m.window_end);
-  AppendU64(&out, m.input_fragments);
-  AppendU64(&out, m.published_fragments);
-  AppendU64(&out, m.suppressed_delta);
-  AppendU64(&out, m.carried_in);
-  AppendU64(&out, m.carried_out);
-  AppendU64(&out, m.clusters);
-  AppendF64(&out, m.ttd);
-  AppendU64(&out, m.skipped ? 1 : 0);
-  AppendU64(&out, m.degraded ? 1 : 0);
-  AppendI64(&out, m.next_fragment_id);
-  AppendU64(&out, m.input_crc);
-  AppendU64(&out, m.input_size);
-  AppendU64(&out, m.output_crc);
-  AppendU64(&out, m.output_size);
-  AppendU64(&out, m.carry_crc);
-  AppendU64(&out, m.carry_size);
+  codec::AppendWordToken(&out, kMarker);
+  codec::AppendUintToken(&out, m.config_fingerprint);
+  codec::AppendUintToken(&out, m.window_index);
+  codec::AppendDoubleToken(&out, m.window_start);
+  codec::AppendDoubleToken(&out, m.window_end);
+  codec::AppendUintToken(&out, m.input_fragments);
+  codec::AppendUintToken(&out, m.published_fragments);
+  codec::AppendUintToken(&out, m.suppressed_delta);
+  codec::AppendUintToken(&out, m.carried_in);
+  codec::AppendUintToken(&out, m.carried_out);
+  codec::AppendUintToken(&out, m.clusters);
+  codec::AppendDoubleToken(&out, m.ttd);
+  codec::AppendUintToken(&out, m.skipped ? 1 : 0);
+  codec::AppendUintToken(&out, m.degraded ? 1 : 0);
+  codec::AppendIntToken(&out, m.next_fragment_id);
+  codec::AppendUintToken(&out, m.input_crc);
+  codec::AppendUintToken(&out, m.input_size);
+  codec::AppendUintToken(&out, m.output_crc);
+  codec::AppendUintToken(&out, m.output_size);
+  codec::AppendUintToken(&out, m.carry_crc);
+  codec::AppendUintToken(&out, m.carry_size);
   out.push_back('\n');
   return out;
 }

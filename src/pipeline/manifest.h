@@ -16,9 +16,9 @@
 /// stores over any torn leftovers, which is what makes `kill -9` at any
 /// lifecycle point recoverable to byte-identical published output.
 ///
-/// The payload is the whitespace text codec used by the shard checkpoint
-/// (common/number_codec.h: shortest round-trip doubles, and legacy %.17g
-/// spellings still parse) and carries no timestamps or paths,
+/// The payload is one line of common/number_codec.h tokens (shortest
+/// round-trip doubles, and legacy %.17g spellings still parse) and carries
+/// no timestamps or paths,
 /// so manifests themselves are byte-identical across interrupted and
 /// uninterrupted runs.
 

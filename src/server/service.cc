@@ -12,6 +12,7 @@
 #include "attack/audit.h"
 #include "common/artifact_registry.h"
 #include "common/failpoint.h"
+#include "common/fnv1a.h"
 #include "common/log.h"
 #include "common/stopwatch.h"
 #include "pipeline/continuous.h"
@@ -36,14 +37,13 @@ Status MakeDir(const std::string& path) {
 /// job) so a crash-recovered job keeps the identity its first admission
 /// minted, and every retry of the same job lands in the same trace.
 std::string MintTraceId(std::string_view job_name) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a
-  for (const char c : job_name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
+  // The seed is not the FNV offset basis (it lacks that constant's last
+  // digit), but it is what every trace id so far was minted from.
+  Fnv1a h(1469598103934665603ULL);
+  h.Bytes(job_name);
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(h));
+                static_cast<unsigned long long>(h.value()));
   return "wcop-job-" + std::string(buf);
 }
 

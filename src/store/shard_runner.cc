@@ -12,6 +12,7 @@
 #include "anon/checkpoint.h"
 #include "anon/wcop.h"
 #include "common/failpoint.h"
+#include "common/fnv1a.h"
 #include "common/number_codec.h"
 #include "common/parallel.h"
 #include "common/snapshot.h"
@@ -22,7 +23,9 @@ namespace store {
 
 namespace {
 
-constexpr uint32_t kShardCheckpointVersion = 1;
+// Version 2 shares the result codec with WCOP-B checkpoints; a version-1
+// file fails the envelope version check and its shard recomputes.
+constexpr uint32_t kShardCheckpointVersion = 2;
 
 Status MakeDir(const std::string& path) {
   if (::mkdir(path.c_str(), 0755) != 0 && errno != EEXIST) {
@@ -39,62 +42,16 @@ std::string ShardFileName(const std::string& dir, const char* stem,
   return dir + "/" + buf;
 }
 
-// ---- fingerprint -------------------------------------------------------
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-uint64_t FnvMixDouble(uint64_t h, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, 8);
-  return FnvMix(h, bits);
-}
-
 /// Everything that must match for a shard checkpoint to be replayable:
 /// the shard's dataset (ids, requirements, every point) and the driver
-/// options that shape its output. `threads` is deliberately excluded —
-/// PR 4 guarantees thread-count independence.
+/// options that shape its output. `threads` is deliberately excluded:
+/// published bytes do not depend on the thread count.
 uint64_t ShardConfigFingerprint(const Dataset& shard_dataset,
                                 const WcopOptions& options) {
-  uint64_t h = DatasetFingerprint(shard_dataset);
-  h = FnvMixDouble(h, options.trash_fraction);
-  h = FnvMix(h, options.trash_max_override);
-  h = FnvMixDouble(h, options.radius_max);
-  h = FnvMixDouble(h, options.radius_growth);
-  h = FnvMix(h, options.max_clustering_rounds);
-  h = FnvMix(h, static_cast<uint64_t>(options.distance.kind));
-  h = FnvMixDouble(h, options.distance.tolerance.dx);
-  h = FnvMixDouble(h, options.distance.tolerance.dy);
-  h = FnvMixDouble(h, options.distance.tolerance.dt);
-  h = FnvMixDouble(h, options.distance.edr_scale);
-  h = FnvMix(h, options.seed);
-  h = FnvMix(h, static_cast<uint64_t>(options.pivot_policy));
-  h = FnvMix(h, static_cast<uint64_t>(options.clustering_algo));
-  h = FnvMix(h, static_cast<uint64_t>(options.delta_policy));
-  h = FnvMix(h, options.allow_partial_results ? 1 : 0);
-  return h;
-}
-
-// ---- checkpoint text codec (snapshot-envelope payload) -----------------
-
-void AppendU64(std::string* out, uint64_t v) {
-  codec::AppendUint(out, v);
-  out->push_back(' ');
-}
-
-void AppendI64(std::string* out, int64_t v) {
-  codec::AppendInt(out, v);
-  out->push_back(' ');
-}
-
-void AppendF64(std::string* out, double v) {
-  codec::AppendDouble(out, v);
-  out->push_back(' ');
+  Fnv1a h(DatasetFingerprint(shard_dataset));
+  HashWcopOptions(&h, options);
+  h.U64(options.allow_partial_results ? 1 : 0);
+  return h.value();
 }
 
 struct ShardState {
@@ -102,82 +59,39 @@ struct ShardState {
   VerificationReport verification;
 };
 
-/// Checkpoint payload: fingerprint, report (timings excluded — a resumed
-/// merge must be deterministic), verification verdict, deterministic
-/// metric counters/gauges (histograms hold timings and are dropped), the
-/// trash, the clusters (shard-local indices), and the published
-/// trajectories in store record encoding.
+/// Checkpoint payload: the fingerprint, the verification verdict, the
+/// shared result codec of anon/checkpoint.h (published trajectories, trash,
+/// clusters with shard-local indices, report), the deterministic metric
+/// counters and gauges (histograms hold timings and are dropped), and the
+/// fixed-width end trailer. The caller zeroes runtime_seconds first: a
+/// resumed merge must be deterministic.
 std::string EncodeShardCheckpoint(uint64_t fingerprint,
                                   const ShardState& state) {
-  const AnonymizationReport& r = state.result.report;
-  std::string out = "wcop-shard-checkpoint 1\nfingerprint ";
-  AppendU64(&out, fingerprint);
-  out.append("\nreport ");
-  AppendU64(&out, r.input_trajectories);
-  AppendU64(&out, r.num_clusters);
-  AppendU64(&out, r.trashed_trajectories);
-  AppendU64(&out, r.trashed_points);
-  AppendF64(&out, r.discernibility);
-  AppendU64(&out, r.created_points);
-  AppendU64(&out, r.deleted_points);
-  AppendF64(&out, r.total_spatial_translation);
-  AppendF64(&out, r.total_temporal_translation);
-  AppendF64(&out, r.avg_spatial_translation);
-  AppendF64(&out, r.avg_temporal_translation);
-  AppendF64(&out, r.omega);
-  AppendF64(&out, r.ttd);
-  AppendF64(&out, r.editing_distortion);
-  AppendF64(&out, r.total_distortion);
-  AppendU64(&out, r.clustering_rounds);
-  AppendF64(&out, r.final_radius);
-  AppendU64(&out, r.degraded ? 1 : 0);
-  out.append("\nverification ");
-  AppendU64(&out, state.verification.ok ? 1 : 0);
-  AppendU64(&out, state.verification.clusters_checked);
-  AppendU64(&out, state.verification.violations);
-  out.append("\ncounters ");
-  AppendU64(&out, r.metrics.counters.size());
-  out.push_back('\n');
-  for (const auto& [name, value] : r.metrics.counters) {
-    out.append(name);
-    out.push_back(' ');
-    AppendU64(&out, value);
-    out.push_back('\n');
+  std::string out;
+  codec::AppendWordToken(&out, "wcop-shard-checkpoint");
+  codec::AppendUintToken(&out, kShardCheckpointVersion);
+  codec::EndLine(&out);
+  codec::AppendWordToken(&out, "fingerprint");
+  codec::AppendUintToken(&out, fingerprint);
+  codec::EndLine(&out);
+  codec::AppendWordToken(&out, "verification");
+  codec::AppendUintToken(&out, state.verification.ok ? 1 : 0);
+  codec::AppendUintToken(&out, state.verification.clusters_checked);
+  codec::AppendUintToken(&out, state.verification.violations);
+  codec::EndLine(&out);
+  AppendAnonymizationResult(&out, state.result);
+  const telemetry::MetricsSnapshot& metrics = state.result.report.metrics;
+  AppendCounters(&out, metrics.counters);
+  codec::AppendWordToken(&out, "ngauges");
+  codec::AppendUintToken(&out, metrics.gauges.size());
+  codec::EndLine(&out);
+  for (const auto& [name, value] : metrics.gauges) {
+    codec::AppendWordToken(&out, "gauge");
+    codec::AppendBlobToken(&out, name);
+    codec::AppendDoubleToken(&out, value);
+    codec::EndLine(&out);
   }
-  out.append("gauges ");
-  AppendU64(&out, r.metrics.gauges.size());
-  out.push_back('\n');
-  for (const auto& [name, value] : r.metrics.gauges) {
-    out.append(name);
-    out.push_back(' ');
-    AppendF64(&out, value);
-    out.push_back('\n');
-  }
-  out.append("trashed ");
-  AppendU64(&out, state.result.trashed_ids.size());
-  for (int64_t id : state.result.trashed_ids) {
-    AppendI64(&out, id);
-  }
-  out.append("\nclusters ");
-  AppendU64(&out, state.result.clusters.size());
-  out.push_back('\n');
-  for (const AnonymityCluster& c : state.result.clusters) {
-    AppendU64(&out, c.pivot);
-    AppendI64(&out, c.k);
-    AppendF64(&out, c.delta);
-    AppendU64(&out, c.members.size());
-    for (size_t m : c.members) {
-      AppendU64(&out, m);
-    }
-    out.push_back('\n');
-  }
-  out.append("published ");
-  AppendU64(&out, state.result.sanitized.size());
-  out.push_back('\n');
-  for (const Trajectory& t : state.result.sanitized.trajectories()) {
-    AppendTrajectoryRecord(&out, t);
-  }
-  out.append("end\n");
+  AppendEndMarker(&out);
   return out;
 }
 
@@ -185,113 +99,35 @@ Result<ShardState> DecodeShardCheckpoint(std::string_view payload,
                                          uint64_t expected_fingerprint) {
   // Every decode failure is kDataLoss, so a damaged checkpoint falls back
   // to a recompute.
-  codec::TokenScanner scan(payload, "shard checkpoint");
-  WCOP_RETURN_IF_ERROR(scan.Expect("wcop-shard-checkpoint"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t codec_version, scan.NextUint());
-  if (codec_version != 1) {
+  codec::TokenScanner in(payload, "shard checkpoint");
+  WCOP_RETURN_IF_ERROR(in.Expect("wcop-shard-checkpoint"));
+  WCOP_ASSIGN_OR_RETURN(uint64_t codec_version, in.NextUint());
+  if (codec_version != kShardCheckpointVersion) {
     return Status::DataLoss("shard checkpoint: unknown codec version");
   }
-  WCOP_RETURN_IF_ERROR(scan.Expect("fingerprint"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t fingerprint, scan.NextUint());
+  WCOP_RETURN_IF_ERROR(in.Expect("fingerprint"));
+  WCOP_ASSIGN_OR_RETURN(uint64_t fingerprint, in.NextUint());
   if (fingerprint != expected_fingerprint) {
     return Status::FailedPrecondition(
         "shard checkpoint does not match this shard/configuration");
   }
   ShardState state;
-  AnonymizationReport& r = state.result.report;
-  WCOP_RETURN_IF_ERROR(scan.Expect("report"));
-  WCOP_ASSIGN_OR_RETURN(r.input_trajectories, scan.NextUint());
-  WCOP_ASSIGN_OR_RETURN(r.num_clusters, scan.NextUint());
-  WCOP_ASSIGN_OR_RETURN(r.trashed_trajectories, scan.NextUint());
-  WCOP_ASSIGN_OR_RETURN(r.trashed_points, scan.NextUint());
-  WCOP_ASSIGN_OR_RETURN(r.discernibility, scan.NextDouble());
-  WCOP_ASSIGN_OR_RETURN(r.created_points, scan.NextUint());
-  WCOP_ASSIGN_OR_RETURN(r.deleted_points, scan.NextUint());
-  WCOP_ASSIGN_OR_RETURN(r.total_spatial_translation, scan.NextDouble());
-  WCOP_ASSIGN_OR_RETURN(r.total_temporal_translation, scan.NextDouble());
-  WCOP_ASSIGN_OR_RETURN(r.avg_spatial_translation, scan.NextDouble());
-  WCOP_ASSIGN_OR_RETURN(r.avg_temporal_translation, scan.NextDouble());
-  WCOP_ASSIGN_OR_RETURN(r.omega, scan.NextDouble());
-  WCOP_ASSIGN_OR_RETURN(r.ttd, scan.NextDouble());
-  WCOP_ASSIGN_OR_RETURN(r.editing_distortion, scan.NextDouble());
-  WCOP_ASSIGN_OR_RETURN(r.total_distortion, scan.NextDouble());
-  WCOP_ASSIGN_OR_RETURN(r.clustering_rounds, scan.NextUint());
-  WCOP_ASSIGN_OR_RETURN(r.final_radius, scan.NextDouble());
-  WCOP_ASSIGN_OR_RETURN(uint64_t degraded, scan.NextUint());
-  r.degraded = degraded != 0;
-  WCOP_RETURN_IF_ERROR(scan.Expect("verification"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t ok, scan.NextUint());
-  state.verification.ok = ok != 0;
-  WCOP_ASSIGN_OR_RETURN(state.verification.clusters_checked, scan.NextUint());
-  WCOP_ASSIGN_OR_RETURN(state.verification.violations, scan.NextUint());
-  WCOP_RETURN_IF_ERROR(scan.Expect("counters"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t num_counters, scan.NextUint());
-  if (num_counters > payload.size()) {
-    return Status::DataLoss("shard checkpoint: implausible counter count");
+  WCOP_RETURN_IF_ERROR(in.Expect("verification"));
+  WCOP_ASSIGN_OR_RETURN(state.verification.ok, in.NextBool());
+  WCOP_ASSIGN_OR_RETURN(state.verification.clusters_checked, in.NextUint());
+  WCOP_ASSIGN_OR_RETURN(state.verification.violations, in.NextUint());
+  WCOP_RETURN_IF_ERROR(ReadAnonymizationResult(&in, &state.result));
+  telemetry::MetricsSnapshot& metrics = state.result.report.metrics;
+  WCOP_RETURN_IF_ERROR(ReadCounters(&in, &metrics.counters));
+  WCOP_RETURN_IF_ERROR(in.Expect("ngauges"));
+  WCOP_ASSIGN_OR_RETURN(size_t num_gauges, in.NextCount());
+  for (size_t i = 0; i < num_gauges; ++i) {
+    WCOP_RETURN_IF_ERROR(in.Expect("gauge"));
+    WCOP_ASSIGN_OR_RETURN(std::string_view name, in.NextBlob());
+    WCOP_ASSIGN_OR_RETURN(double value, in.NextDouble());
+    metrics.gauges.emplace_back(std::string(name), value);
   }
-  for (uint64_t i = 0; i < num_counters; ++i) {
-    WCOP_ASSIGN_OR_RETURN(std::string_view name, scan.Next());
-    WCOP_ASSIGN_OR_RETURN(uint64_t value, scan.NextUint());
-    r.metrics.counters.emplace_back(std::string(name), value);
-  }
-  WCOP_RETURN_IF_ERROR(scan.Expect("gauges"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t num_gauges, scan.NextUint());
-  if (num_gauges > payload.size()) {
-    return Status::DataLoss("shard checkpoint: implausible gauge count");
-  }
-  for (uint64_t i = 0; i < num_gauges; ++i) {
-    WCOP_ASSIGN_OR_RETURN(std::string_view name, scan.Next());
-    WCOP_ASSIGN_OR_RETURN(double value, scan.NextDouble());
-    r.metrics.gauges.emplace_back(std::string(name), value);
-  }
-  WCOP_RETURN_IF_ERROR(scan.Expect("trashed"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t num_trashed, scan.NextUint());
-  if (num_trashed > payload.size()) {
-    return Status::DataLoss("shard checkpoint: implausible trash count");
-  }
-  state.result.trashed_ids.reserve(num_trashed);
-  for (uint64_t i = 0; i < num_trashed; ++i) {
-    WCOP_ASSIGN_OR_RETURN(int64_t id, scan.NextInt());
-    state.result.trashed_ids.push_back(id);
-  }
-  WCOP_RETURN_IF_ERROR(scan.Expect("clusters"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t num_clusters, scan.NextUint());
-  if (num_clusters > payload.size()) {
-    return Status::DataLoss("shard checkpoint: implausible cluster count");
-  }
-  state.result.clusters.reserve(num_clusters);
-  for (uint64_t i = 0; i < num_clusters; ++i) {
-    AnonymityCluster c;
-    WCOP_ASSIGN_OR_RETURN(uint64_t pivot, scan.NextUint());
-    c.pivot = pivot;
-    WCOP_ASSIGN_OR_RETURN(int64_t k, scan.NextInt());
-    c.k = static_cast<int>(k);
-    WCOP_ASSIGN_OR_RETURN(c.delta, scan.NextDouble());
-    WCOP_ASSIGN_OR_RETURN(uint64_t num_members, scan.NextUint());
-    if (num_members > payload.size()) {
-      return Status::DataLoss("shard checkpoint: implausible member count");
-    }
-    c.members.reserve(num_members);
-    for (uint64_t m = 0; m < num_members; ++m) {
-      WCOP_ASSIGN_OR_RETURN(uint64_t member, scan.NextUint());
-      c.members.push_back(member);
-    }
-    state.result.clusters.push_back(std::move(c));
-  }
-  WCOP_RETURN_IF_ERROR(scan.Expect("published"));
-  WCOP_ASSIGN_OR_RETURN(uint64_t num_published, scan.NextUint());
-  if (num_published > payload.size()) {
-    return Status::DataLoss("shard checkpoint: implausible published count");
-  }
-  state.result.sanitized.mutable_trajectories().reserve(num_published);
-  size_t pos = scan.pos();
-  for (uint64_t i = 0; i < num_published; ++i) {
-    WCOP_ASSIGN_OR_RETURN(Trajectory t,
-                          ParseTrajectoryRecord(payload, &pos));
-    state.result.sanitized.Add(std::move(t));
-  }
-  codec::TokenScanner tail(payload, "shard checkpoint", pos);
-  WCOP_RETURN_IF_ERROR(tail.Expect("end"));
+  WCOP_RETURN_IF_ERROR(CheckEndMarker(&in, payload.size()));
   return state;
 }
 
@@ -553,6 +389,9 @@ Result<ShardedRunResult> RunShardedWcopCt(const TrajectoryStoreReader& source,
         outcomes[s].verification = states[s].verification;
 
         if (!ckpt_path.empty()) {
+          // Timings stay out of the checkpoint (the merged report's runtime
+          // is the coordinator's wall clock anyway).
+          states[s].result.report.runtime_seconds = 0.0;
           WCOP_RETURN_IF_ERROR(WriteSnapshotFile(
               ckpt_path, EncodeShardCheckpoint(fingerprint, states[s]),
               kShardCheckpointVersion));

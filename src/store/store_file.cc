@@ -159,55 +159,49 @@ StoreEntry DecodeEntry(const char* in) {
 }  // namespace
 
 void AppendTrajectoryRecord(std::string* out, const Trajectory& t) {
-  out->append("traj ");
-  codec::AppendInt(out, t.id());
-  out->push_back(' ');
-  codec::AppendInt(out, t.object_id());
-  out->push_back(' ');
-  codec::AppendInt(out, t.parent_id());
-  out->push_back(' ');
-  codec::AppendInt(out, t.requirement().k);
-  out->push_back(' ');
-  codec::AppendDouble(out, t.requirement().delta);
-  out->push_back(' ');
-  codec::AppendUint(out, t.size());
-  out->push_back('\n');
+  codec::AppendWordToken(out, "traj");
+  codec::AppendIntToken(out, t.id());
+  codec::AppendIntToken(out, t.object_id());
+  codec::AppendIntToken(out, t.parent_id());
+  codec::AppendIntToken(out, t.requirement().k);
+  codec::AppendDoubleToken(out, t.requirement().delta);
+  codec::AppendUintToken(out, t.size());
+  codec::EndLine(out);
   for (const Point& p : t.points()) {
-    codec::AppendDouble(out, p.x);
-    out->push_back(' ');
-    codec::AppendDouble(out, p.y);
-    out->push_back(' ');
-    codec::AppendDouble(out, p.t);
-    out->push_back('\n');
+    codec::AppendDoubleToken(out, p.x);
+    codec::AppendDoubleToken(out, p.y);
+    codec::AppendDoubleToken(out, p.t);
+    codec::EndLine(out);
   }
 }
 
-Result<Trajectory> ParseTrajectoryRecord(std::string_view payload,
-                                         size_t* pos) {
-  codec::TokenScanner scan(payload, "store record", *pos);
-  WCOP_RETURN_IF_ERROR(scan.Expect("traj"));
-  WCOP_ASSIGN_OR_RETURN(int64_t id, scan.NextInt());
-  WCOP_ASSIGN_OR_RETURN(int64_t object_id, scan.NextInt());
-  WCOP_ASSIGN_OR_RETURN(int64_t parent_id, scan.NextInt());
-  WCOP_ASSIGN_OR_RETURN(int64_t k, scan.NextInt());
-  WCOP_ASSIGN_OR_RETURN(double delta, scan.NextDouble());
-  WCOP_ASSIGN_OR_RETURN(int64_t num_points, scan.NextInt());
-  if (num_points < 0 ||
-      static_cast<uint64_t>(num_points) > payload.size() - *pos) {
-    return Status::DataLoss("store record: implausible point count");
-  }
+Result<Trajectory> ParseTrajectoryRecord(codec::TokenScanner* scan) {
+  WCOP_RETURN_IF_ERROR(scan->Expect("traj"));
+  WCOP_ASSIGN_OR_RETURN(int64_t id, scan->NextInt());
+  WCOP_ASSIGN_OR_RETURN(int64_t object_id, scan->NextInt());
+  WCOP_ASSIGN_OR_RETURN(int64_t parent_id, scan->NextInt());
+  WCOP_ASSIGN_OR_RETURN(int64_t k, scan->NextInt());
+  WCOP_ASSIGN_OR_RETURN(double delta, scan->NextDouble());
+  WCOP_ASSIGN_OR_RETURN(size_t num_points, scan->NextCount());
   std::vector<Point> points;
-  points.reserve(static_cast<size_t>(num_points));
-  for (int64_t i = 0; i < num_points; ++i) {
-    WCOP_ASSIGN_OR_RETURN(double x, scan.NextDouble());
-    WCOP_ASSIGN_OR_RETURN(double y, scan.NextDouble());
-    WCOP_ASSIGN_OR_RETURN(double t, scan.NextDouble());
+  points.reserve(num_points);
+  for (size_t i = 0; i < num_points; ++i) {
+    WCOP_ASSIGN_OR_RETURN(double x, scan->NextDouble());
+    WCOP_ASSIGN_OR_RETURN(double y, scan->NextDouble());
+    WCOP_ASSIGN_OR_RETURN(double t, scan->NextDouble());
     points.push_back(Point{x, y, t});
   }
   Trajectory t(id, std::move(points),
                Requirement{static_cast<int>(k), delta});
   t.set_object_id(object_id);
   t.set_parent_id(parent_id);
+  return t;
+}
+
+Result<Trajectory> ParseTrajectoryRecord(std::string_view payload,
+                                         size_t* pos) {
+  codec::TokenScanner scan(payload, "store record", *pos);
+  WCOP_ASSIGN_OR_RETURN(Trajectory t, ParseTrajectoryRecord(&scan));
   *pos = scan.pos();
   return t;
 }

@@ -45,6 +45,7 @@
 #include <vector>
 
 #include "common/artifact_registry.h"
+#include "common/number_codec.h"
 #include "common/result.h"
 #include "common/run_context.h"
 #include "common/status.h"
@@ -73,14 +74,17 @@ struct StoreEntry {
 };
 
 /// Appends the lossless, self-delimiting text record of `t` to `*out`: the
-/// trajectory record of the shard checkpoint codec, and the block payload
-/// of version-1 stores (which this build reads but no longer writes).
+/// trajectory record of the checkpoint result codec (anon/checkpoint.h),
+/// and the block payload of version-1 stores (which this build reads but
+/// no longer writes).
 void AppendTrajectoryRecord(std::string* out, const Trajectory& t);
 
 /// Parses one text record starting at `*pos` in `payload`; advances `*pos`
 /// past it. Returns kDataLoss on any malformed content.
 Result<Trajectory> ParseTrajectoryRecord(std::string_view payload,
                                          size_t* pos);
+/// The same, as the next tokens of a larger text payload.
+Result<Trajectory> ParseTrajectoryRecord(codec::TokenScanner* scan);
 
 /// Appends the version-2 block payload of `t` to `*out`: the 48-byte header
 /// and the raw point doubles of the layout above.

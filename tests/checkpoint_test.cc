@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <optional>
@@ -13,6 +14,7 @@
 #include "common/failpoint.h"
 #include "common/number_codec.h"
 #include "common/snapshot.h"
+#include "pipeline/continuous.h"
 #include "pipeline/manifest.h"
 #include "server/job.h"
 #include "store/shard_runner.h"
@@ -444,6 +446,8 @@ TEST_F(CheckpointTest, LegacyJobRecordLoads) {
   EXPECT_EQ(loaded->progress.eta_seconds, 1.0 / 3.0);
 }
 
+// Shard checkpoints share the WCOP-B trailer, so a respelled payload gets
+// its byte count rewritten the same way.
 TEST_F(CheckpointTest, LegacyShardCheckpointsResume) {
   const std::string store_path = Path("source.wst");
   ASSERT_TRUE(store::WriteDatasetStore(SmallSynthetic(30, 20), store_path).ok());
@@ -463,7 +467,7 @@ TEST_F(CheckpointTest, LegacyShardCheckpointsResume) {
        std::filesystem::directory_iterator(run.checkpoint_dir)) {
     Result<Snapshot> snapshot = ReadSnapshotFile(entry.path().string());
     ASSERT_TRUE(snapshot.ok()) << snapshot.status();
-    const std::string legacy = LegacySpelling(snapshot->payload);
+    const std::string legacy = LegacyCheckpointPayload(snapshot->payload);
     respelled += legacy != snapshot->payload ? 1 : 0;
     ASSERT_TRUE(WriteSnapshotFile(entry.path().string(), legacy,
                                   snapshot->format_version)
@@ -478,6 +482,24 @@ TEST_F(CheckpointTest, LegacyShardCheckpointsResume) {
   ExpectDatasetsIdentical(first->merged.sanitized, resumed->merged.sanitized);
   EXPECT_EQ(first->merged.report.ttd, resumed->merged.report.ttd);
   EXPECT_EQ(first->merged.trashed_ids, resumed->merged.trashed_ids);
+
+  // Version-1 checkpoints, from builds before the shared result codec, fail
+  // the envelope version check: every shard recomputes to the same bytes.
+  for (const auto& entry :
+       std::filesystem::directory_iterator(run.checkpoint_dir)) {
+    Result<Snapshot> snapshot = ReadSnapshotFile(entry.path().string());
+    ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+    ASSERT_TRUE(WriteSnapshotFile(entry.path().string(), snapshot->payload,
+                                  /*format_version=*/1)
+                    .ok());
+  }
+  Result<store::ShardedRunResult> recomputed =
+      store::RunShardedWcopCt(*reader, run);
+  ASSERT_TRUE(recomputed.ok()) << recomputed.status();
+  EXPECT_EQ(recomputed->resumed_shards, 0u);
+  ExpectDatasetsIdentical(first->merged.sanitized,
+                          recomputed->merged.sanitized);
+  EXPECT_EQ(first->merged.report.ttd, recomputed->merged.report.ttd);
 }
 
 TEST_F(CheckpointTest, MalformedNumbersAreRejectedNotMisread) {
@@ -529,6 +551,208 @@ TEST_F(CheckpointTest, MalformedNumbersAreRejectedNotMisread) {
       damaged.substr(0, damaged.size() - 25) + "end 00000000000000000000\n");
   EXPECT_EQ(DecodeWcopBCheckpoint(damaged).status().code(),
             StatusCode::kDataLoss);
+}
+
+// ---------------------------------------------------------------------------
+// Golden values. Window manifests and shard checkpoints on disk store these
+// fingerprints, and WCOP-B checkpoints written by older builds must still
+// resume, so every value and payload below was produced by an earlier build
+// and must never change.
+// ---------------------------------------------------------------------------
+
+// A checkpoint touching every field of the payload, blob bytes included.
+WcopBCheckpoint GoldenWcopBCheckpoint() {
+  WcopBCheckpoint c;
+  c.fingerprint = 0x0123456789abcdefULL;
+  c.next_edit_size = 3;
+  c.terminal = false;
+  c.bound_satisfied = true;
+  c.final_edit_size = 2;
+  c.rounds.push_back(WcopBRound{1, 12.5, 0.25, 12.75, 2, 1});
+  c.rounds.push_back(WcopBRound{2, 1.0 / 3.0, -0.0, 1e-300, 1, 0});
+  Trajectory t(5, {Point(0.1, -2.5, 0.0), Point(1e10, 3.25, 10.0)},
+               Requirement{3, 150.5});
+  t.set_object_id(7);
+  t.set_parent_id(-1);
+  c.anonymization.sanitized = Dataset({t, Trajectory(6, {}, Requirement{2, 1.0})});
+  c.anonymization.trashed_ids = {9, -4};
+  AnonymityCluster cluster;
+  cluster.pivot = 1;
+  cluster.k = 3;
+  cluster.delta = 150.5;
+  cluster.members = {0, 1};
+  c.anonymization.clusters.push_back(cluster);
+  AnonymizationReport& r = c.anonymization.report;
+  r.input_trajectories = 3;
+  r.num_clusters = 1;
+  r.trashed_trajectories = 1;
+  r.trashed_points = 4;
+  r.discernibility = 9.5;
+  r.created_points = 6;
+  r.deleted_points = 2;
+  r.total_spatial_translation = 100.125;
+  r.total_temporal_translation = 7.0;
+  r.avg_spatial_translation = 50.0625;
+  r.avg_temporal_translation = 3.5;
+  r.omega = 0.7;
+  r.ttd = 107.125;
+  r.editing_distortion = 0.5;
+  r.total_distortion = 107.625;
+  r.runtime_seconds = 0.001;
+  r.clustering_rounds = 2;
+  r.final_radius = 4096.0;
+  r.degraded = true;
+  r.degraded_reason = "budget tripped\n at 2 ";
+  c.counters = {{"wcop_b.rounds", 2}, {"name with space", 18446744073709551615ULL}};
+  return c;
+}
+
+// Written by the WCOP-B encoder that predates the shared result codec: each
+// trajectory on one line, where the store text record now breaks after the
+// header and after every point. Only separators differ.
+constexpr char kParentWcopBPayload[] =
+    "wcop-b-checkpoint 1\n"
+    "fingerprint 81985529216486895\n"
+    "state 3 0 1 2\n"
+    "nrounds 2\n"
+    "round 1 12.5 0.25 12.75 2 1\n"
+    "round 2 0.3333333333333333 -0 1e-300 1 0\n"
+    "ntraj 2\n"
+    "traj 5 7 -1 3 150.5 2 0.1 -2.5 0 1e+10 3.25 10\n"
+    "traj 6 0 -1 2 1 0\n"
+    "ntrashed 2 9 -4\n"
+    "nclusters 1\n"
+    "cluster 1 3 150.5 2 0 1\n"
+    "report 3 1 1 4 9.5 6 2 100.125 7 50.0625 3.5 0.7 107.125 0.5 107.625 "
+    "0.001 2 4096 1 21 budget tripped\n"
+    " at 2 \n"
+    "ncounters 2\n"
+    "counter 13 wcop_b.rounds 2\n"
+    "counter 15 name with space 18446744073709551615\n"
+    "end 00000000000000000489\n";
+
+// `text` with every newline turned into a space.
+std::string SeparatorsAsSpaces(std::string text) {
+  for (char& c : text) {
+    if (c == '\n') {
+      c = ' ';
+    }
+  }
+  return text;
+}
+
+TEST_F(CheckpointTest, ParentWcopBPayloadDecodesAndReencodes) {
+  const std::string parent = kParentWcopBPayload;
+  Result<WcopBCheckpoint> decoded = DecodeWcopBCheckpoint(parent);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  const WcopBCheckpoint want = GoldenWcopBCheckpoint();
+  EXPECT_EQ(decoded->fingerprint, want.fingerprint);
+  EXPECT_EQ(decoded->next_edit_size, want.next_edit_size);
+  EXPECT_EQ(decoded->terminal, want.terminal);
+  EXPECT_EQ(decoded->bound_satisfied, want.bound_satisfied);
+  EXPECT_EQ(decoded->final_edit_size, want.final_edit_size);
+  ASSERT_EQ(decoded->rounds.size(), want.rounds.size());
+  EXPECT_TRUE(std::signbit(decoded->rounds[1].editing_distortion));
+  ExpectDatasetsIdentical(decoded->anonymization.sanitized,
+                          want.anonymization.sanitized);
+  EXPECT_EQ(decoded->anonymization.trashed_ids,
+            want.anonymization.trashed_ids);
+  ASSERT_EQ(decoded->anonymization.clusters.size(), 1u);
+  EXPECT_EQ(decoded->anonymization.clusters[0].members,
+            want.anonymization.clusters[0].members);
+  EXPECT_EQ(decoded->anonymization.report.runtime_seconds,
+            want.anonymization.report.runtime_seconds);
+  EXPECT_EQ(decoded->anonymization.report.degraded_reason,
+            want.anonymization.report.degraded_reason);
+  EXPECT_EQ(decoded->counters, want.counters);
+
+  // Re-encoding gives the same checkpoint: the same tokens and byte count,
+  // and the encoding of the in-memory original.
+  const std::string again = EncodeWcopBCheckpoint(*decoded);
+  EXPECT_EQ(again, EncodeWcopBCheckpoint(want));
+  ASSERT_EQ(again.size(), parent.size());
+  EXPECT_EQ(SeparatorsAsSpaces(again), SeparatorsAsSpaces(parent));
+}
+
+// Every hashed WcopOptions field off its default.
+WcopOptions TunedOptions() {
+  WcopOptions o;
+  o.trash_fraction = 0.25;
+  o.trash_max_override = 3;
+  o.radius_max = 1234.5;
+  o.radius_growth = 2.0;
+  o.max_clustering_rounds = 9;
+  o.distance.kind = DistanceConfig::Kind::kSynchronizedEuclidean;
+  o.distance.tolerance.dx = 11.0;
+  o.distance.tolerance.dy = 12.0;
+  o.distance.tolerance.dt = 13.0;
+  o.distance.edr_scale = 999.0;
+  o.seed = 42;
+  o.pivot_policy = WcopOptions::PivotPolicy::kFarthestFirst;
+  o.clustering_algo = WcopOptions::ClusteringAlgo::kAgglomerative;
+  o.delta_policy = WcopOptions::DeltaPolicy::kMean;
+  return o;
+}
+
+TEST_F(CheckpointTest, FingerprintsMatchGoldenValues) {
+  const Dataset d = CompactDataset();
+  WcopBOptions b;
+  WcopBOptions tuned_b;
+  tuned_b.distort_max = 5.5;
+  tuned_b.step = 2;
+  tuned_b.w1 = 0.25;
+  tuned_b.w2 = 0.75;
+  tuned_b.max_edit_size = 4;
+  tuned_b.edit_policy = WcopBOptions::EditPolicy::kProportional;
+  tuned_b.proportional_strength = 0.125;
+  EXPECT_EQ(DatasetFingerprint(d), 6589787824370155541ULL);
+  EXPECT_EQ(WcopOptionsFingerprint(WcopOptions()), 10917377593746694651ULL);
+  EXPECT_EQ(WcopOptionsFingerprint(TunedOptions()), 2003525769357139722ULL);
+  EXPECT_EQ(WcopBConfigFingerprint(d, WcopOptions(), b),
+            635104363078569722ULL);
+  EXPECT_EQ(WcopBConfigFingerprint(d, TunedOptions(), tuned_b),
+            9289836316039332419ULL);
+}
+
+TEST_F(CheckpointTest, PipelineManifestFingerprintMatchesGoldenValue) {
+  const std::string source = Path("source.wst");
+  ASSERT_TRUE(store::WriteDatasetStore(CompactDataset(), source).ok());
+  pipeline::ContinuousPipelineOptions options;
+  options.source_store = source;
+  options.output_dir = Path("out");
+  options.window_seconds = 100.0;
+  options.wcop.seed = 7;
+  Result<pipeline::ContinuousPipelineResult> run =
+      pipeline::RunContinuousPipeline(options);
+  ASSERT_TRUE(run.ok()) << run.status();
+  Result<pipeline::WindowManifest> first =
+      pipeline::ReadWindowManifest(Path("out/window_00000.mfr"));
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->config_fingerprint, 16103006094495835266ULL);
+}
+
+TEST_F(CheckpointTest, ShardCheckpointFingerprintMatchesGoldenValue) {
+  const std::string source = Path("source.wst");
+  ASSERT_TRUE(store::WriteDatasetStore(SmallSynthetic(30, 20), source).ok());
+  Result<store::TrajectoryStoreReader> reader =
+      store::TrajectoryStoreReader::Open(source);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  store::ShardRunOptions run;
+  run.wcop.seed = 9;
+  run.partition.num_shards = 2;
+  run.checkpoint_dir = Path("ckpt");
+  ASSERT_TRUE(store::RunShardedWcopCt(*reader, run).ok());
+  Result<Snapshot> snapshot = ReadSnapshotFile(Path("ckpt/shard_00000.ckpt"));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  // Every shard checkpoint version opens "wcop-shard-checkpoint <version>
+  // fingerprint <value>".
+  codec::TokenScanner scan(snapshot->payload, "shard checkpoint");
+  ASSERT_TRUE(scan.Expect("wcop-shard-checkpoint").ok());
+  ASSERT_TRUE(scan.NextUint().ok());
+  ASSERT_TRUE(scan.Expect("fingerprint").ok());
+  Result<uint64_t> fingerprint = scan.NextUint();
+  ASSERT_TRUE(fingerprint.ok()) << fingerprint.status();
+  EXPECT_EQ(*fingerprint, 709140037174838106ULL);
 }
 
 }  // namespace

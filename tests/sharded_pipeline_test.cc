@@ -104,6 +104,7 @@ void ExpectReportsEqualMinusTimings(const AnonymizationReport& a,
   EXPECT_EQ(a.clustering_rounds, b.clustering_rounds);
   EXPECT_EQ(a.final_radius, b.final_radius);
   EXPECT_EQ(a.degraded, b.degraded);
+  EXPECT_EQ(a.degraded_reason, b.degraded_reason);
 }
 
 TEST(ShardedPipelineTest, SingleShardIsByteIdenticalToMonolithic) {
@@ -355,6 +356,50 @@ TEST(ShardedPipelineTest, CheckpointResumeSkipsCompletedShards) {
   Result<ShardedRunResult> fourth = RunShardedWcopCt(*reader, reseeded);
   ASSERT_TRUE(fourth.ok()) << fourth.status();
   EXPECT_EQ(fourth->resumed_shards, 0u);
+
+  std::filesystem::remove(store_path);
+  std::filesystem::remove_all(run.checkpoint_dir);
+}
+
+// Shards checkpoint degraded results too (unlike WCOP-B, which redoes a
+// degraded round): a resumed run must report the degradation exactly as
+// the run that wrote the checkpoints did, reason included.
+TEST(ShardedPipelineTest, ResumedDegradedShardsKeepTheirReason) {
+  // A huge delta_max makes every EDR tolerance span the region, so the
+  // exact DP really runs and the distance budget trips mid-clustering.
+  const Dataset dataset = SmallSynthetic(60, 30, /*k_max=*/5,
+                                         /*delta_max=*/1.0e6);
+  const std::string store_path = TempPath("shard_degraded.wst");
+  ASSERT_TRUE(WriteDatasetStore(dataset, store_path).ok());
+  Result<TrajectoryStoreReader> reader =
+      TrajectoryStoreReader::Open(store_path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+
+  ResourceBudget budget;
+  budget.max_distance_computations = 200;
+  RunContext tight;
+  tight.set_budget(budget);
+  ShardRunOptions run;
+  run.wcop.seed = 9;
+  run.wcop.allow_partial_results = true;
+  run.wcop.run_context = &tight;
+  run.partition.num_shards = 2;
+  run.checkpoint_dir = TempDirFor("shard_degraded.ckpts");
+  Result<ShardedRunResult> first = RunShardedWcopCt(*reader, run);
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first->resumed_shards, 0u);
+  ASSERT_TRUE(first->merged.report.degraded);
+  ASSERT_FALSE(first->merged.report.degraded_reason.empty());
+
+  RunContext fresh;
+  fresh.set_budget(budget);
+  run.wcop.run_context = &fresh;
+  Result<ShardedRunResult> second = RunShardedWcopCt(*reader, run);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second->resumed_shards, first->partition.shards.size());
+  ExpectReportsEqualMinusTimings(first->merged.report, second->merged.report);
+  ExpectDatasetsIdentical(first->merged.sanitized, second->merged.sanitized);
+  EXPECT_EQ(first->merged.trashed_ids, second->merged.trashed_ids);
 
   std::filesystem::remove(store_path);
   std::filesystem::remove_all(run.checkpoint_dir);
